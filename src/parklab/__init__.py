@@ -29,7 +29,6 @@ from .core import (
     lower_count_bound,
     mean_closed,
     mean_derivative_closed,
-    truncated_exp_pdf,
     upper_count_bound,
 )
 from .envelope import NESTING_TOL, check_nesting, window_extrema
@@ -42,7 +41,6 @@ from .montecarlo import (
     z_diagnostics,
 )
 from .solver import (
-    QuadratureRule,
     integrate_weighted,
     solve_mean,
     solve_mean_derivative,
@@ -60,7 +58,6 @@ __all__ = [
     "DomainError",
     "NESTING_TOL",
     "Params",
-    "QuadratureRule",
     "SegmentedGrid",
     "SimConfig",
     "SimStats",
@@ -87,7 +84,6 @@ __all__ = [
     "solve_mean_derivative",
     "solve_second_moment",
     "solve_uniform_mean_derivative",
-    "truncated_exp_pdf",
     "truncated_laplace",
     "upper_count_bound",
     "variance_slope_bracket",

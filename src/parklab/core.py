@@ -24,7 +24,6 @@ __all__ = [
     "ConstantsReport",
     "GRID_KINDS",
     "UNIFORM_RATE_CUTOFF",
-    "truncated_exp_pdf",
     "mean_closed",
     "mean_derivative_closed",
     "upper_count_bound",
@@ -131,13 +130,6 @@ class SegmentedGrid:
     def resolution_m(self) -> int:
         return self.values.shape[1] - 1
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.resolution_m
-
-    def segment(self, k: int) -> np.ndarray:
-        return self.values[k]
-
     def x_nodes(self, k: int) -> np.ndarray:
         """Abscissae of segment k's samples."""
         m = self.resolution_m
@@ -237,21 +229,6 @@ class ConstantsReport:
             "quadrature_halving_delta": self.quadrature_halving_delta,
             "uniform_fallback": self.uniform_fallback,
         }
-
-
-def truncated_exp_pdf(t: float, lam: float, x: float) -> float:
-    """Density of a car's left endpoint on a free stretch of length x.
-
-    Support is (0, x-1); the mass lam*exp(-lam*t) is renormalized to the
-    admissible placements.  Returns 0 off the support.
-    """
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"rate must be finite and > 0, got {lam!r}")
-    if not (math.isfinite(x) and x > 1):
-        raise DomainError(f"stretch length must exceed 1, got {x!r}")
-    if t <= 0.0 or t >= x - 1.0:
-        return 0.0
-    return lam * math.exp(-lam * t) / -math.expm1(-lam * (x - 1.0))
 
 
 def mean_closed(x: float, lam: float) -> float:

@@ -8,15 +8,13 @@ uniform nodes, with panels split at every integer breakpoint and, for the
 convolution-type terms, at the mirror images of the integer breakpoints; each
 panel rule is exact on cubics, giving fourth-order accuracy throughout.
 
-Exponentially growing kernels are accumulated in a rescaled form (everything
-multiplied through by exp(-lam*x)) so that no intermediate overflows or
-cancels for any positive rate.
+Every recursion is stepped by one core, :func:`_march`, given its kernels
+and the closure that turns their integrals into the next segment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -31,7 +29,6 @@ from .core import (
 )
 
 __all__ = [
-    "QuadratureRule",
     "integrate_weighted",
     "solve_mean",
     "solve_mean_derivative",
@@ -109,26 +106,6 @@ def _single_subinterval_weights(j0: int, m: int) -> tuple[int, np.ndarray]:
     return base, _EDGE_W[::-1]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Composite Simpson on a grid with nodes_per_unit subintervals per segment."""
-
-    nodes_per_unit: int
-
-    def __post_init__(self) -> None:
-        m = self.nodes_per_unit
-        if not (isinstance(m, int) and m >= 2 and m % 2 == 0):
-            raise DomainError(f"nodes_per_unit must be an even integer >= 2, got {m!r}")
-
-    def weights(self, n_sub: int) -> np.ndarray:
-        """Unit-spacing weights for a panel of n_sub >= 2 subintervals."""
-        return _panel_weights(n_sub)
-
-    def panel(self, fvals: np.ndarray, h: float) -> float:
-        """Integrate integrand samples over a panel of uniform spacing h."""
-        return h * float(_panel_weights(fvals.size - 1) @ fvals)
-
-
 def integrate_weighted(
     grid: SegmentedGrid,
     weight: Callable[[np.ndarray], np.ndarray],
@@ -147,7 +124,6 @@ def integrate_weighted(
         raise DomainError(f"integration range [{a}, {b}] outside grid range [0, {n}]")
     if a == b:
         return 0.0
-    rule = QuadratureRule(m)
     cuts = [a] + [float(k) for k in range(math.floor(a) + 1, math.ceil(b))] + [b]
     total = 0.0
     for p, q in zip(cuts[:-1], cuts[1:]):
@@ -157,7 +133,8 @@ def integrate_weighted(
         aligned = abs(op - j0) < 1e-9 and abs(oq - j1) < 1e-9
         if aligned and j1 - j0 >= 2:
             ts = grid.x_nodes(k)[j0:j1 + 1]
-            total += rule.panel(weight(ts) * grid.values[k, j0:j1 + 1], 1.0 / m)
+            fv = weight(ts) * grid.values[k, j0:j1 + 1]
+            total += (1.0 / m) * float(_panel_weights(j1 - j0) @ fv)
         elif aligned and j1 - j0 == 1:
             base, w = _single_subinterval_weights(j0, m)
             ts = grid.x_nodes(k)[base:base + w.size]
@@ -166,19 +143,74 @@ def integrate_weighted(
             n_sub = max(2, 2 * math.ceil(0.5 * (oq - op)))
             ts = np.linspace(p, q, n_sub + 1)
             gv = _interp_segment(grid.values[k], (ts - k) * m)
-            total += rule.panel(weight(ts) * gv, (q - p) / n_sub)
+            total += ((q - p) / n_sub) * float(_panel_weights(n_sub) @ (weight(ts) * gv))
     return total
 
 
-def _exp_weight_cums(seg: np.ndarray, lam: float, s: int, offs: np.ndarray, h: float):
-    """Per-segment running integrals of the two exponential kernels.
+# One integral term of a recursion: (source rows, weight(s, offs), rescaled).
+_Kernel = tuple[np.ndarray, Callable[[int, np.ndarray], "np.ndarray | float"], bool]
+
+
+def _node_offsets(m: int) -> np.ndarray:
+    """Offsets of a segment's m+1 nodes from its left edge."""
+    return np.arange(m + 1) * (1.0 / m)
+
+
+def _march(
+    vals: np.ndarray,
+    lam: float,
+    start: int,
+    kernels: list[_Kernel],
+    close: Callable[[int, np.ndarray, list[np.ndarray]], np.ndarray],
+    continuous_from: int,
+) -> None:
+    """Fill rows ``start``.. of ``vals`` in place by the method of steps.
+
+    On segment s = k - 1, kernel (rows, weight, rescaled) integrates
+    rows[s] * weight(s, offs); ``close(s, x, integrals)`` turns the integrals
+    over [0, x] at the segment's nodes x = s + offs into row k.  Each
+    integral is a running prefix over the complete segments plus the
+    segment's own cumulative integral.  The prefixes are accumulated once
+    per segment, starting at segment 0 (rows below the seed add exact
+    zeros), so the total cost is linear in the node count.
+
+    A rescaled kernel is a convolution-type term whose weight on segment s
+    is taken relative to the segment's left edge, like exp(lam*(t-s)); its
+    integral is carried multiplied by exp(-lam*x), so the prefix is
+    multiplied by e^-lam per segment and the node values by exp(-lam*offs).
+    Every factor then stays within lam*e^lam and no sum cancels.
+
+    Row k starts where row k-1 ends at every integer k >= continuous_from.
+    """
+    n, m = vals.shape[0], vals.shape[1] - 1
+    h = 1.0 / m
+    offs = _node_offsets(m)
+    eq = math.exp(-lam)
+    exp_off = np.exp(-lam * offs)
+    prefs = [0.0] * len(kernels)
+    for s in range(n - 1):
+        cums = [_cumulative(rows[s] * weight(s, offs), h) for rows, weight, _ in kernels]
+        if s + 1 >= start:
+            ints = [exp_off * (p + c) if rescaled else p + c
+                    for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
+            new = close(s, s + offs, ints)
+            if s + 1 >= continuous_from:
+                new[0] = vals[s, -1]
+            vals[s + 1] = new
+        prefs = [eq * (p + c[-1]) if rescaled else p + c[-1]
+                 for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
+
+
+def _exp_kernels(rows: np.ndarray, lam: float) -> list[_Kernel]:
+    """The mean recursion's direct and convolution kernels over ``rows``.
 
     direct: lam*exp(-lam*t)*f(t); convolution, rescaled to the segment's
     left edge: lam*exp(lam*(t-s))*f(t).  Neither factor exceeds lam*e^lam.
     """
-    wd = lam * np.exp(-lam * (s + offs))
-    wc = lam * np.exp(lam * offs)
-    return _cumulative(seg * wd, h), _cumulative(seg * wc, h)
+    return [
+        (rows, lambda s, offs: lam * np.exp(-lam * (s + offs)), False),
+        (rows, lambda s, offs: lam * np.exp(lam * offs), True),
+    ]
 
 
 def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
@@ -187,41 +219,27 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     Seeds [0, seed_upto] from the closed forms, then advances by
     value(x+1) = (direct + convolution)/(1 - exp(-lam*x)) + 1 where both
     integrals run over already-complete segments.  ``seed_upto=2`` exercises
-    the stepper against the closed form on (2, 3].
+    the stepper against the closed form on (2, 3].  Below
+    UNIFORM_RATE_CUTOFF the uniform limit value(x+1) = 2*integral(M)/x + 1
+    is solved instead and the grid is flagged.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
-    if params.lam < UNIFORM_RATE_CUTOFF:
-        grid = _solve_uniform_mean(params.horizon_n, params.resolution_m, seed_upto)
-        return SegmentedGrid("M", grid, lam=params.lam, uniform_substituted=True)
-
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    h = 1.0 / m
-    offs = np.arange(m + 1) * h
+    offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0
+    if lam < UNIFORM_RATE_CUTOFF:
+        if seed_upto == 3:
+            vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
+        _march(vals, 0.0, seed_upto, [(vals, lambda s, offs: 1.0, False)],
+               lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
+        return SegmentedGrid("M", vals, lam=lam, uniform_substituted=True)
+
     if seed_upto == 3:
         vals[2] = 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * offs) / -np.expm1(-lam * (1.0 + offs))
-
-    eq = math.exp(-lam)
-    exp_off = np.exp(-lam * offs)
-    f_pref = 0.0  # integral of lam*e^{-lam t} * M over [0, s]
-    g_pref = 0.0  # convolution integral at x = s
-    for s in range(seed_upto - 1):
-        cd, cc = _exp_weight_cums(vals[s], lam, s, offs, h)
-        f_pref += cd[-1]
-        g_pref = eq * (g_pref + cc[-1])
-    for k in range(seed_upto, n):
-        s = k - 1
-        cd, cc = _exp_weight_cums(vals[s], lam, s, offs, h)
-        x = s + offs
-        direct = f_pref + cd
-        conv = exp_off * (g_pref + cc)
-        new = (direct + conv) / -np.expm1(-lam * x) + 1.0
-        new[0] = vals[k - 1][-1]  # continuous at every integer >= 2
-        vals[k] = new
-        f_pref += cd[-1]
-        g_pref = eq * (g_pref + cc[-1])
+    _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
+           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2)
     return SegmentedGrid("M", vals, lam=lam)
 
 
@@ -229,10 +247,9 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
     """Derivative of the mean count on (0, horizon_n].
 
     The stepping identity divides an accumulated sinh-kernel integral by
-    cosh(lam*x) - 1; both sides are carried multiplied by exp(-lam*x), which
-    turns the denominator into expm1(-lam*x)^2 / 2 and keeps every factor in
-    [0, lam*e^lam].  The running integral is accumulated once per segment, so
-    the total cost is linear in the node count.
+    cosh(lam*x) - 1; carried multiplied by exp(-lam*x), the denominator
+    becomes expm1(-lam*x)^2 / 2 and every factor stays in [0, lam*e^lam].
+    The jump at x = 2 is kept; later segments join continuously.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
@@ -241,85 +258,39 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
         return SegmentedGrid("Mprime", base.values, lam=params.lam, uniform_substituted=True)
 
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    h = 1.0 / m
-    offs = np.arange(m + 1) * h
+    offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
     if seed_upto == 3:
         vals[2] = lam * np.exp(-lam * offs) * -math.expm1(-2.0 * lam) \
             / np.expm1(-lam * (1.0 + offs)) ** 2
 
-    eq = math.exp(-lam)
-    exp_off = np.exp(-lam * offs)
-    a_pref = 0.0  # integral of e^{-lam s} * lam*sinh(lam t) * f over [1, s]
+    def sinh_weight(s: int, offs: np.ndarray) -> np.ndarray:
+        # e^{-lam s} * lam*sinh(lam t) on segment s
+        return 0.5 * lam * (np.exp(lam * offs) - np.exp(-lam * (2.0 * s + offs)))
 
-    def seg_cum(s: int) -> np.ndarray:
-        w = 0.5 * lam * (np.exp(lam * offs) - np.exp(-lam * (2.0 * s + offs)))
-        return _cumulative(vals[s] * w, h)
-
-    for s in range(1, seed_upto - 1):
-        a_pref = eq * (a_pref + seg_cum(s)[-1])
-    for k in range(seed_upto, n):
-        s = k - 1
-        ck = seg_cum(s)
-        x = s + offs
-        acc = exp_off * (a_pref + ck)
+    def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
         seed_term = 0.5 * lam * (np.exp(-lam * (x - 1.0)) - np.exp(-lam * (x + 1.0)))
         denom = 0.5 * np.expm1(-lam * x) ** 2
-        new = (acc + seed_term) / denom
-        if k > 2:
-            new[0] = vals[k - 1][-1]  # jump sits at x = 2 only
-        vals[k] = new
-        a_pref = eq * (a_pref + ck[-1])
+        return (ints[0] + seed_term) / denom
+
+    _march(vals, lam, seed_upto, [(vals, sinh_weight, True)], close, 3)
     return SegmentedGrid("Mprime", vals, lam=lam)
 
 
 def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> SegmentedGrid:
     """Derivative of the mean count for the uniform (vanishing-rate) limit.
 
-    value(x+1) = (integral of 2 t f(t) over [1, x] + 2) / x^2, stepped with
-    the same running accumulation as the rated solver.
+    value(x+1) = (integral of 2 t f(t) over [1, x] + 2) / x^2, with the jump
+    at x = 2 kept as in the rated solver.
     """
     if not (isinstance(horizon_n, int) and horizon_n >= 3):
         raise DomainError(f"horizon_n must be an integer >= 3, got {horizon_n!r}")
     if not (isinstance(resolution_m, int) and resolution_m >= 2 and resolution_m % 2 == 0):
         raise DomainError(f"resolution_m must be an even integer >= 2, got {resolution_m!r}")
-    n, m = horizon_n, resolution_m
-    h = 1.0 / m
-    offs = np.arange(m + 1) * h
-    vals = np.zeros((n, m + 1))
-    j_pref = 0.0
-    for k in range(2, n):
-        s = k - 1
-        ck = _cumulative(vals[s] * 2.0 * (s + offs), h)
-        x = s + offs
-        new = (j_pref + ck + 2.0) / x**2
-        if k > 2:
-            new[0] = vals[k - 1][-1]
-        vals[k] = new
-        j_pref += ck[-1]
+    vals = np.zeros((horizon_n, resolution_m + 1))
+    _march(vals, 0.0, 2, [(vals, lambda s, offs: 2.0 * (s + offs), False)],
+           lambda s, x, ints: (ints[0] + 2.0) / x**2, 3)
     return SegmentedGrid("uniformMprime", vals)
-
-
-def _solve_uniform_mean(n: int, m: int, seed_upto: int = 3) -> np.ndarray:
-    """Mean count for the uniform limit: value(x+1) = 2*integral(M)/x + 1."""
-    h = 1.0 / m
-    offs = np.arange(m + 1) * h
-    vals = np.zeros((n, m + 1))
-    vals[1] = 1.0
-    if seed_upto == 3:
-        vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
-    pref = 0.0
-    for s in range(seed_upto - 1):
-        pref += _cumulative(vals[s], h)[-1]
-    for k in range(seed_upto, n):
-        s = k - 1
-        ck = _cumulative(vals[s], h)
-        x = s + offs
-        new = 2.0 * (pref + ck) / x + 1.0
-        new[0] = vals[k - 1][-1]
-        vals[k] = new
-        pref += ck[-1]
-    return vals
 
 
 def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
@@ -341,36 +312,22 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
 
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     h = 1.0 / m
-    offs = np.arange(m + 1) * h
+    offs = _node_offsets(m)
     mvals = m_grid.values
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
-
-    eq = math.exp(-lam)
-    exp_off = np.exp(-lam * offs)
     # lam*e^{-lam*t} at every node of every segment, reused by the product term
     node_w = lam * np.exp(-lam * (np.arange(n)[:, None] + offs[None, :]))
-    f2 = g2 = fm = gm = 0.0
-    cdm0, ccm0 = _exp_weight_cums(mvals[0], lam, 0, offs, h)
-    fm += cdm0[-1]
-    gm = eq * (gm + ccm0[-1])
-    for k in range(2, n):
-        s = k - 1
-        cd2, cc2 = _exp_weight_cums(vals[s], lam, s, offs, h)
-        cdm, ccm = _exp_weight_cums(mvals[s], lam, s, offs, h)
-        x = s + offs
-        own = (f2 + cd2) + exp_off * (g2 + cc2)
-        mean_terms = (fm + cdm) + exp_off * (gm + ccm)
+
+    def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
+        own = ints[0] + ints[1]
+        mean_terms = ints[2] + ints[3]
         prod = np.empty(m + 1)
         for j in range(m + 1):
             prod[j] = _product_convolution(mvals, node_w, lam, s, j, m, h)
-        new = 1.0 + (own + 2.0 * mean_terms + 2.0 * prod) / -np.expm1(-lam * x)
-        new[0] = vals[k - 1][-1]
-        vals[k] = new
-        f2 += cd2[-1]
-        g2 = eq * (g2 + cc2[-1])
-        fm += cdm[-1]
-        gm = eq * (gm + ccm[-1])
+        return 1.0 + (own + 2.0 * mean_terms + 2.0 * prod) / -np.expm1(-lam * x)
+
+    _march(vals, lam, 2, _exp_kernels(vals, lam) + _exp_kernels(mvals, lam), close, 2)
     return SegmentedGrid("M2", vals, lam=lam)
 
 

@@ -41,7 +41,6 @@ class CheckResult:
 
 
 def _grid_max_err(grid, closed: Callable[[float, float], float], lam: float) -> float:
-    m = grid.resolution_m
     xs = grid.x_nodes(2)
     ref = np.array([closed(x, lam) for x in xs])
     return float(np.max(np.abs(grid.values[2] - ref)))

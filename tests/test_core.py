@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.integrate import quad
 
 from parklab import (
     Bracket,
@@ -15,36 +14,8 @@ from parklab import (
     lower_count_bound,
     mean_closed,
     mean_derivative_closed,
-    truncated_exp_pdf,
     upper_count_bound,
 )
-
-
-class TestTruncatedExpPdf:
-    def test_left_edge_limit(self):
-        # closed-form value of the density as t -> 0+ at rate 1, stretch 2
-        expected = 1.0 / (1.0 - math.exp(-1.0))
-        assert truncated_exp_pdf(1e-12, 1.0, 2.0) == pytest.approx(expected, rel=1e-9)
-
-    @pytest.mark.parametrize("lam", [0.01, 1.0, 10.0])
-    @pytest.mark.parametrize("x", [2.0, 5.0, 20.0])
-    def test_normalization(self, lam, x):
-        total, err = quad(truncated_exp_pdf, 0.0, x - 1.0, args=(lam, x))
-        assert total == pytest.approx(1.0, abs=max(1e-10, 10 * err))
-
-    def test_uniform_limit(self):
-        for x in (2.0, 4.0, 11.0):
-            assert truncated_exp_pdf(0.3 * (x - 1), 1e-12, x) == pytest.approx(1.0 / (x - 1), rel=1e-9)
-
-    def test_off_support(self):
-        assert truncated_exp_pdf(-0.5, 1.0, 3.0) == 0.0
-        assert truncated_exp_pdf(2.5, 1.0, 3.0) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            truncated_exp_pdf(0.1, 1.0, 0.9)
-        with pytest.raises(DomainError):
-            truncated_exp_pdf(0.1, -1.0, 2.0)
 
 
 class TestMeanClosed:

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from parklab import (
     DomainError,
     Params,
-    QuadratureRule,
     SegmentedGrid,
     integrate_weighted,
     lower_count_bound,
@@ -92,11 +91,6 @@ class TestIntegrateWeighted:
         got = integrate_weighted(g, lambda t: np.ones_like(t), p, q)
         assert got == pytest.approx(anti(q) - anti(p), abs=2e-10)
 
-    def test_quadrature_rule_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureRule(3)
-        assert QuadratureRule(8).nodes_per_unit == 8
-
 
 class TestSolveMean:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
@@ -125,10 +119,26 @@ class TestSolveMean:
         g = solve_mean(Params(1.0, 7, 128))
         assert np.all(np.diff(g.values, axis=1) >= -1e-12)
 
-    def test_segments_join_continuously(self):
-        g = solve_mean(Params(0.8, 7, 64))
-        for k in range(2, 7):
+    # every recursion the stepper serves, with the first integer at which
+    # its segments join; both derivative kinds keep their jump at x = 2
+    @pytest.mark.parametrize(
+        "build, continuous_from",
+        [
+            (lambda: solve_mean(Params(0.8, 7, 64)), 2),
+            (lambda: solve_mean(Params(1e-8, 7, 64)), 2),
+            (lambda: solve_second_moment(Params(0.8, 7, 64), solve_mean(Params(0.8, 7, 64))), 2),
+            (lambda: solve_mean_derivative(Params(0.8, 7, 64)), 3),
+            (lambda: solve_mean_derivative(Params(0.8, 7, 64), seed_upto=2), 3),
+            (lambda: solve_uniform_mean_derivative(7, 64), 3),
+        ],
+        ids=["M", "M_uniform", "M2", "Mprime", "Mprime_seed2", "uniformMprime"],
+    )
+    def test_segments_join_continuously(self, build, continuous_from):
+        g = build()
+        for k in range(continuous_from, 7):
             assert g.values[k, 0] == g.values[k - 1, -1]
+        if continuous_from == 3:
+            assert g.values[2, 0] > g.values[1, -1]  # the jump at x = 2 stays
 
     def test_rate_continuity(self):
         a = solve_mean(Params(1.0, 7, 64)).values
