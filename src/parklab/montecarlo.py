@@ -1,15 +1,21 @@
 """Direct simulation of the parking process, the solvers' independent oracle.
 
-Each trial parks cars one by one: a car placed at offset T on a free stretch
-of length x splits it into independent sub-stretches of lengths T and
-x - 1 - T, and the placement law on each sub-stretch is the same truncated
-exponential by self-similarity, so a trial is just a stack of stretch
-lengths.  Saturation is reached when every gap holds at most one car length.
+A car placed at offset T on a free stretch of length x splits it into
+independent sub-stretches of lengths T and x - 1 - T, and the placement law
+on each sub-stretch is the same truncated exponential by self-similarity, so
+a trial is just a set of stretch lengths.  Saturation is reached when every
+gap holds at most one car length.  Trials are simulated in lockstep batches:
+each numpy round parks one car in every live gap of every trial of the
+batch (see ``_saturation_counts``).
 
-Reproducibility: trial i draws from a counter-based generator keyed by
-(seed, i), so results are independent of execution order, and all moment
-accumulation happens in exact integer arithmetic, so parallel runs are
-bit-identical to serial ones.
+Reproducibility: the unit is a fixed batch of ``_batch_size(length)``
+consecutive trials, min(1024, max(1, 2**20 // ceil(length))).  A stretch
+holds fewer than ceil(length) live gaps, so a batch holds at most 2**20
+unless one stretch alone is longer than that.  Batch b draws
+from a counter-based generator keyed by (seed, b) in the breadth-first
+order of ``_saturation_counts``, so results are independent of execution
+order, and all moment accumulation happens in exact integer arithmetic, so
+parallel runs are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,52 +104,56 @@ def sample_truncated_exp(lam: float, support_len: float, u: float) -> float:
 def saturation_count(lam: float, length: float, rng: np.random.Generator) -> int:
     """Cars parked at saturation on a stretch of the given length.
 
-    Iterative work stack, no recursion depth limit; a gap admits a car only
+    A batch of one trial of ``_saturation_counts``; a gap admits a car only
     if strictly longer than 1.
     """
+    return int(_saturation_counts(lam, length, 1, rng)[0])
+
+
+def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Cars parked at saturation in each of ``trials`` stretches of one length.
+
+    ``gaps`` holds every live gap (longer than 1) of the batch and ``owner``
+    the trial it belongs to.  Each round draws ``rng.random(gaps.size)``,
+    parks one car in every live gap with the inverse CDF of
+    ``sample_truncated_exp``, and keeps the left pieces, then the right
+    pieces, that are still longer than 1, each in their previous order.
+    """
+    counts = np.zeros(trials, dtype=np.int64)
     if length <= 1.0:
-        return 0
-    expm1, log1p = math.expm1, math.log1p
-    buf = rng.random(max(8, int(0.9 * length)))
-    size = buf.shape[0]
-    idx = 0
-    count = 0
-    stack = [length]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        free = pop() - 1.0
-        if idx == size:
-            buf = rng.random(size)
-            idx = 0
-        t = -log1p(buf[idx] * expm1(-lam * free)) / lam
-        idx += 1
-        count += 1
-        if t > 1.0:
-            push(t)
+        return counts
+    gaps = np.full(trials, float(length))
+    owner = np.arange(trials)
+    while gaps.size:
+        free = gaps - 1.0
+        t = -np.log1p(rng.random(gaps.size) * np.expm1(-lam * free)) / lam
+        counts += np.bincount(owner, minlength=trials)
         rest = free - t
-        if rest > 1.0:
-            push(rest)
-    return count
+        left, right = t > 1.0, rest > 1.0
+        gaps = np.concatenate((t[left], rest[right]))
+        owner = np.concatenate((owner[left], owner[right]))
+    return counts
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+def _batch_size(length: float) -> int:
+    """Trials per batch, the unit of reproducibility (see the module docstring)."""
+    return min(1024, max(1, 2**20 // math.ceil(length)))
 
 
-def _simulate_chunk(args: tuple[float, float, int, int, int]) -> tuple[int, int, int, int, dict[int, int]]:
-    lam, length, seed, start, stop = args
-    s1 = s2 = s3 = s4 = 0
-    hist: dict[int, int] = {}
-    for trial in range(start, stop):
-        c = saturation_count(lam, length, _trial_rng(seed, trial))
-        c2 = c * c
-        s1 += c
-        s2 += c2
-        s3 += c2 * c
-        s4 += c2 * c2
-        hist[c] = hist.get(c, 0) + 1
-    return s1, s2, s3, s4, hist
+def _trial_rng(seed: int, batch: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
+
+
+def _simulate_chunk(args: tuple[float, float, int, int, int, int]) -> Counter:
+    """Histogram of the counts of batches [first, stop) of a run of ``trials``."""
+    lam, length, seed, trials, first, stop = args
+    size = _batch_size(length)
+    hist: Counter = Counter()
+    for batch in range(first, stop):
+        counts = _saturation_counts(lam, length, min(size, trials - batch * size),
+                                    _trial_rng(seed, batch))
+        hist.update(counts.tolist())
+    return hist
 
 
 def _resolve_workers(threads: int | None, trials: int) -> int:
@@ -163,30 +174,24 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     """Simulate config.trials independent saturations and summarize them.
 
     threads: worker processes; None reads PARKLAB_THREADS, 0 means one per
-    CPU.  The summary is bit-identical for any worker count because each
-    trial's stream depends only on (seed, trial index) and the reduction is
-    exact integer arithmetic.
+    CPU.  Workers take whole batches of trials.  The summary is
+    bit-identical for any worker count because each batch's stream depends
+    only on (seed, batch index), the batches are fixed by config.trials and
+    the batch-size rule, and the reduction is exact integer arithmetic.
     """
     workers = _resolve_workers(threads, config.trials)
-    edges = np.linspace(0, config.trials, 4 * workers + 1).astype(int) if workers > 1 \
-        else np.array([0, config.trials])
-    jobs = [(config.lam, config.length, config.seed, int(a), int(b))
+    batches = -(-config.trials // _batch_size(config.length))
+    edges = np.linspace(0, batches, 4 * workers + 1).astype(int) if workers > 1 \
+        else np.array([0, batches])
+    jobs = [(config.lam, config.length, config.seed, config.trials, int(a), int(b))
             for a, b in zip(edges[:-1], edges[1:]) if a < b]
     if workers == 1:
         parts = [_simulate_chunk(j) for j in jobs]
     else:
         with multiprocessing.Pool(processes=workers) as pool:
             parts = pool.map(_simulate_chunk, jobs)
-
-    s1 = s2 = s3 = s4 = 0
-    hist: dict[int, int] = {}
-    for p1, p2, p3, p4, ph in parts:
-        s1 += p1
-        s2 += p2
-        s3 += p3
-        s4 += p4
-        for k, v in ph.items():
-            hist[k] = hist.get(k, 0) + v
+    hist = dict(sorted(sum(parts, Counter()).items()))
+    s1, s2, s3, s4 = (sum(f * k**p for k, f in hist.items()) for p in range(1, 5))
 
     n = config.trials
     lo, hi = lower_count_bound(config.length), upper_count_bound(config.length)

@@ -26,6 +26,8 @@ from .core import (
     Params,
     SegmentedGrid,
     _interp_segment,
+    lower_count_bound,
+    upper_count_bound,
 )
 
 __all__ = [
@@ -234,13 +236,39 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
             vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
         _march(vals, 0.0, seed_upto, [(vals, lambda s, offs: 1.0, False)],
                lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
+        _check_count_bounds(vals, lam)
         return SegmentedGrid("M", vals, lam=lam, uniform_substituted=True)
 
     if seed_upto == 3:
         vals[2] = 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * offs) / -np.expm1(-lam * (1.0 + offs))
     _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
            lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2)
+    _check_count_bounds(vals, lam)
     return SegmentedGrid("M", vals, lam=lam)
+
+
+def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
+    """Reject a mean grid that leaves the hard counting bounds at any node.
+
+    Every count lies in [lower_count_bound(x), upper_count_bound(x)], so a
+    node outside is quadrature error, not a mean: at large lam/m the stepper
+    integrates weights that grow by e^(lam/m) between nodes.  Both bounds
+    step only at integers, so on row k (x in [k, k+1]) the lower one is
+    lower(k) at x = k and lower(k+1) after it, the upper one upper(k) before
+    x = k+1 and upper(k+1) there.
+    """
+    n, m = vals.shape[0], vals.shape[1] - 1
+    lo, hi = np.empty_like(vals), np.empty_like(vals)
+    for k in range(n):
+        lo[k], lo[k, 0] = lower_count_bound(k + 1), lower_count_bound(k)
+        hi[k], hi[k, m] = upper_count_bound(k), upper_count_bound(k + 1)
+    bad = np.flatnonzero((vals < lo) | (vals > hi))
+    if bad.size:
+        k, j = divmod(int(bad[0]), m + 1)
+        raise DomainError(
+            f"mean count at lam={lam:g} with m={m} is {vals[k, j]:.6g} at x={k + j / m:g}, "
+            f"outside the counting bounds [{lo[k, j]:g}, {hi[k, j]:g}]; the resolution is "
+            f"too coarse for this rate, a larger --m is needed")
 
 
 def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:

@@ -65,6 +65,13 @@ class TestTable:
         assert code == 2
         assert "--lambda" in err
 
+    def test_too_coarse_for_the_rate_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--kind", "M", "--lambda", "300",
+                                 "--n", "4", "--m", "8")
+        assert code == 2
+        assert out == ""
+        assert "lam=300 with m=8" in err and "larger --m" in err
+
     def test_odd_resolution_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--lambda", "1", "--kind", "M", "--n", "3", "--m", "3"])

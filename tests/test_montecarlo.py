@@ -15,10 +15,33 @@ from parklab import (
     sample_truncated_exp,
     saturation_count,
     solve_mean,
+    solve_second_moment,
     upper_count_bound,
     z_diagnostics,
 )
-from parklab.montecarlo import _trial_rng
+from parklab.montecarlo import _batch_size, _resolve_workers, _saturation_counts, _trial_rng
+
+
+def _breadth_first_counts(lam, length, trials, rng):
+    """Scalar reference for _saturation_counts: the documented draw order.
+
+    Each round draws one uniform per live gap in order, then keeps the left
+    pieces followed by the right pieces that are still longer than 1.
+    """
+    counts = [0] * trials
+    gaps = [(float(length), i) for i in range(trials)] if length > 1.0 else []
+    while gaps:
+        left, right = [], []
+        for (gap, i), u in zip(gaps, rng.random(len(gaps))):
+            free = gap - 1.0
+            t = sample_truncated_exp(lam, free, float(u))
+            counts[i] += 1
+            if t > 1.0:
+                left.append((t, i))
+            if free - t > 1.0:
+                right.append((free - t, i))
+        gaps = left + right
+    return counts
 
 
 class TestSampler:
@@ -74,6 +97,21 @@ class TestSaturationCount:
         for trial in range(200):
             assert saturation_count(0.7, 3.0, _trial_rng(4, trial)) == 2
 
+    @pytest.mark.parametrize("lam, length, trials", [(1.2, 13.4, 40), (0.3, 7.0, 25), (5.0, 30.0, 3)])
+    def test_batch_matches_breadth_first_reference(self, lam, length, trials):
+        counts = _saturation_counts(lam, length, trials, _trial_rng(8, 1))
+        assert counts.tolist() == _breadth_first_counts(lam, length, trials, _trial_rng(8, 1))
+
+    def test_single_trial_is_a_batch_of_one(self):
+        for batch in range(20):
+            batch_of_one = _saturation_counts(1.0, 30.0, 1, _trial_rng(7, batch))
+            assert saturation_count(1.0, 30.0, _trial_rng(7, batch)) == batch_of_one[0]
+
+    def test_batch_size_rule(self):
+        assert _batch_size(0.5) == _batch_size(30.0) == _batch_size(1024.0) == 1024
+        assert _batch_size(5000.0) == 2**20 // 5000
+        assert _batch_size(2.0**21) == 1
+
     def test_counts_within_bounds(self):
         for trial in range(300):
             c = saturation_count(1.2, 13.4, _trial_rng(5, trial))
@@ -86,8 +124,12 @@ class TestRunMc:
         assert run_mc(cfg) == run_mc(cfg)
 
     def test_worker_count_does_not_change_results(self):
-        cfg = SimConfig(1.0, 15.0, 6000, seed=13)
-        assert run_mc(cfg, threads=1) == run_mc(cfg, threads=3)
+        # several batches, the last one partial, split among 1, 2 and 3 workers
+        trials = 6 * 1024 + 37
+        assert _resolve_workers(3, trials) == 3
+        cfg = SimConfig(1.0, 15.0, trials, seed=13)
+        serial = run_mc(cfg, threads=1)
+        assert serial == run_mc(cfg, threads=2) == run_mc(cfg, threads=3)
 
     def test_degenerate_length(self):
         stats = run_mc(SimConfig(1.0, 1.7, 100, seed=1))
@@ -129,6 +171,18 @@ class TestRunMc:
                 if abs(stats.mean - ref) > 4.0 * stats.stderr_mean:
                     misses += 1
         assert misses <= 1
+
+    @pytest.mark.parametrize("lam", [0.5, 1.0])
+    def test_variance_agrees_with_solver(self, lam):
+        # catches streams or draw orders that correlate trials, which the
+        # mean alone would miss
+        x, trials = 20.0, 20_000
+        stats = run_mc(SimConfig(lam, x, trials, seed=31))
+        params = Params(lam, 20, 64)
+        m_grid = solve_mean(params)
+        ref = solve_second_moment(params, m_grid).value(x) - m_grid.value(x) ** 2
+        se = stats.variance * math.sqrt((stats.excess_kurtosis + 2.0) / trials)
+        assert abs(stats.variance - ref) <= 4.0 * se
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -115,6 +115,18 @@ class TestSolveMean:
             assert np.all(g.values[k] >= lo)
             assert np.all(g.values[k] <= hi)
 
+    @pytest.mark.parametrize("lam, n, m", [(300.0, 4, 8), (60.0, 7, 8), (10.0, 7, 8)])
+    def test_too_coarse_for_the_rate_is_rejected(self, lam, n, m):
+        # at these lam/m the stepper's quadrature leaves the counting bounds
+        with pytest.raises(DomainError, match=f"lam={lam:g} with m={m}.*larger --m"):
+            solve_mean(Params(lam, n, m))
+
+    def test_fine_enough_large_rate_still_solves(self):
+        # six cars nearly always fit on 6.5 at this rate; m=256 leaves a
+        # quadrature error of about 5e-3 that falls as m^-4
+        g = solve_mean(Params(100.0, 7, 256))
+        assert 5.99 < g.value(6.5) <= 6.0
+
     def test_nondecreasing_within_segments(self):
         g = solve_mean(Params(1.0, 7, 128))
         assert np.all(np.diff(g.values, axis=1) >= -1e-12)
