@@ -22,9 +22,11 @@ the leading digits to cancellation.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -343,6 +345,45 @@ def variance_slope_bracket(
 
 
 # ---------------------------------------------------------------------------
+# Grids shared within one validation run.  Outside ``_shared_grids`` every
+# call solves afresh and nothing is kept; inside it each grid is solved once
+# and dropped when the block exits.  Sharing is safe because grids are
+# read-only.
+
+_SHARED: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("_SHARED", default=None)
+
+
+@contextlib.contextmanager
+def _shared_grids() -> Iterator[None]:
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _memo(key: tuple, solve: Callable[[], object]):
+    memo = _SHARED.get()
+    if memo is None:
+        return solve()
+    if key not in memo:
+        memo[key] = solve()
+    return memo[key]
+
+
+def _mean_grids(params: Params) -> tuple[SegmentedGrid, SegmentedGrid]:
+    """The mean grid and the second-moment grid built on it."""
+    def solve():
+        m_grid = _solver.solve_mean(params)
+        return m_grid, _solver.solve_second_moment(params, m_grid)
+    return _memo(("M, M2", params), solve)
+
+
+def _derivative_grid(params: Params) -> SegmentedGrid:
+    return _memo(("M'", params), lambda: _solver.solve_mean_derivative(params))
+
+
+# ---------------------------------------------------------------------------
 # Report assembly.
 
 def constants_report(
@@ -395,8 +436,7 @@ def constants_report(
         return ConstantsReport(lam, 0, resolution_m, "crude", c, b, d)
 
     params = Params(lam, horizon_n, resolution_m)
-    m_grid = _solver.solve_mean(params)
-    m2_grid = _solver.solve_second_moment(params, m_grid)
+    m_grid, m2_grid = _mean_grids(params)
     n = horizon_n
     if tail_method == "crude":
         tail = crude_mean_tail(lam, n)
@@ -404,7 +444,7 @@ def constants_report(
         tail2 = crude_second_moment_tail(lam, n)
         env_inf = env_sup = None
     else:
-        d_grid = _solver.solve_mean_derivative(params)
+        d_grid = _derivative_grid(params)
         env_inf, env_sup = _envelope.window_extrema(d_grid, n)
         mean_at_n = float(m_grid.values[n - 1, -1])
         tail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=0)

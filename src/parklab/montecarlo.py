@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 from collections import Counter
 from dataclasses import dataclass
 
@@ -156,6 +157,15 @@ def _simulate_chunk(args: tuple[float, float, int, int, int, int]) -> Counter:
     return hist
 
 
+def _default_sigterm() -> None:
+    """Pool initializer: let SIGTERM kill a worker outright.
+
+    Forked workers inherit the parent's Python handler; one that raises can
+    leave a worker blocked when ``Pool.terminate()`` signals it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _resolve_workers(threads: int | None, trials: int) -> int:
     if threads is None:
         raw = os.environ.get(THREADS_ENV_VAR, "0")
@@ -188,7 +198,7 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     if workers == 1:
         parts = [_simulate_chunk(j) for j in jobs]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=workers, initializer=_default_sigterm) as pool:
             parts = pool.map(_simulate_chunk, jobs)
     hist = dict(sorted(sum(parts, Counter()).items()))
     s1, s2, s3, s4 = (sum(f * k**p for k, f in hist.items()) for p in range(1, 5))
@@ -234,15 +244,26 @@ def z_diagnostics(
 
     Standardizing against external references (solver values, or the sample
     moments themselves) makes this a direct check of asymptotic normality.
+    This simulates ``config`` afresh; to standardize a run already made, call
+    ``_standardized_moments`` on its histogram.
     """
     if not (var_ref > 0.0):
         raise DomainError(f"var_ref must be > 0, got {var_ref!r}")
     stats = run_mc(config, threads=threads)
+    return _standardized_moments(stats.histogram, config.trials, mean_ref, var_ref)
+
+
+def _standardized_moments(
+    histogram: dict[int, int],
+    trials: int,
+    mean_ref: float,
+    var_ref: float,
+) -> tuple[float, float]:
+    """Skewness and excess kurtosis of a count histogram; var_ref must be > 0."""
     scale = math.sqrt(var_ref)
     z3 = z4 = 0.0
-    for k, freq in sorted(stats.histogram.items()):
+    for k, freq in sorted(histogram.items()):
         z = (k - mean_ref) / scale
         z3 += freq * z**3
         z4 += freq * z**4
-    n = config.trials
-    return z3 / n, z4 / n - 3.0
+    return z3 / trials, z4 / trials - 3.0

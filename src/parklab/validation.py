@@ -66,8 +66,7 @@ def _check_2(quick: bool, threads) -> list[CheckResult]:
     worst = 0.0
     for lam in (0.1, 1.0, 5.0):
         p = Params(lam, 7, 256)
-        g = _solver.solve_mean(p)
-        g2 = _solver.solve_second_moment(p, g)
+        g, g2 = _constants._mean_grids(p)
         for k in range(p.horizon_n):
             xs = g.x_nodes(k)
             lo = np.array([lower_count_bound(x) for x in xs], dtype=float)
@@ -82,7 +81,7 @@ def _check_2(quick: bool, threads) -> list[CheckResult]:
 def _check_3(quick: bool, threads) -> list[CheckResult]:
     flags = []
     for lam in (0.5, 1.0, 2.0):
-        g = _solver.solve_mean_derivative(Params(lam, 7, 256))
+        g = _constants._derivative_grid(Params(lam, 7, 256))
         flags.extend(_envelope.check_nesting(g, 3, 7))
     gu = _solver.solve_uniform_mean_derivative(16, 256)
     flags.extend(_envelope.check_nesting(gu, 3, 15))
@@ -156,7 +155,7 @@ def _check_7(quick: bool, threads) -> list[CheckResult]:
     gu = _solver.solve_uniform_mean_derivative(7, 256)
     dists = []
     for lam in (0.5, 0.2, 0.1, 0.05):
-        g = _solver.solve_mean_derivative(Params(lam, 7, 256))
+        g = _constants._derivative_grid(Params(lam, 7, 256))
         dists.append(float(np.max(np.abs(g.values - gu.values))))
     ok = all(a > b for a, b in zip(dists, dists[1:]))
     msg = " > ".join(f"{d:.4f}" for d in dists)
@@ -198,7 +197,7 @@ def _check_9(quick: bool, threads) -> list[CheckResult]:
     trials = 5_000 if quick else 20_000
     cfg = _mc.SimConfig(1.0, 500.0, trials, _SEED + 2)
     stats = _mc.run_mc(cfg, threads=threads)
-    z3, z4 = _mc.z_diagnostics(cfg, stats.mean, stats.variance, threads=threads)
+    z3, z4 = _mc._standardized_moments(stats.histogram, cfg.trials, stats.mean, stats.variance)
     ok = abs(z3) <= 0.1 and abs(z4) <= 0.2
     return [CheckResult(9, "normality of the standardized count at x=500", ok,
                         f"skewness {z3:+.4f} (tol 0.1), excess kurtosis {z4:+.4f} (tol 0.2)")]
@@ -246,12 +245,17 @@ def run_checks(
     criteria: Optional[Iterable[int]] = None,
     threads: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Run the selected acceptance criteria (all by default), in order."""
+    """Run the selected acceptance criteria (all by default), in order.
+
+    The criteria share their rated M, M2 and M' grids: each (lam, n, m) is
+    solved once per call, and the grids are released when it returns.
+    """
     selected = sorted(set(criteria)) if criteria is not None else sorted(CRITERIA)
     unknown = [c for c in selected if c not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
     results: list[CheckResult] = []
-    for c in selected:
-        results.extend(CRITERIA[c](quick, threads))
+    with _constants._shared_grids():
+        for c in selected:
+            results.extend(CRITERIA[c](quick, threads))
     return results

@@ -1,6 +1,7 @@
 """Tail bounds and constant brackets against series and quadrature oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from parklab import (
     Bracket,
     DomainError,
+    Params,
     TailBound,
     constants_report,
     crude_mean_tail,
@@ -23,6 +25,7 @@ from parklab import (
     truncated_laplace,
     variance_slope_bracket,
 )
+from parklab import solver, validation
 from parklab.core import SegmentedGrid
 
 
@@ -330,3 +333,33 @@ class TestReports:
             constants_report(1.0, 0, 64, "envelope")
         rep = constants_report(1.0, 0, 64, "crude")
         assert rep.horizon_n == 0
+
+
+class TestSharedGrids:
+    @staticmethod
+    def _count_m2_solves(monkeypatch) -> Counter:
+        solved: Counter = Counter()
+        original = solver.solve_second_moment
+
+        def counting(params, m_grid):
+            solved[params] += 1
+            return original(params, m_grid)
+
+        monkeypatch.setattr(solver, "solve_second_moment", counting)
+        return solved
+
+    def test_validation_run_solves_each_grid_once(self, monkeypatch):
+        solved = self._count_m2_solves(monkeypatch)
+        shared = validation.run_checks(quick=True, criteria=[2, 4, 5, 11])
+        grids = [(0.1, 256), (1.0, 256), (5.0, 256), (8.0, 256), (1.0, 512)]
+        assert dict(solved) == {Params(lam, 7, m): 1 for lam, m in grids}
+        # sharing changes no verdict and no measured value
+        assert shared == [r for c in (2, 4, 5, 11) for r in validation.CRITERIA[c](True, None)]
+
+    def test_reports_outside_a_validation_run_solve_afresh(self, monkeypatch):
+        solved = self._count_m2_solves(monkeypatch)
+        validation.run_checks(quick=True, criteria=[4])
+        solved.clear()
+        constants_report(1.0, 7, 64, "crude")
+        constants_report(1.0, 7, 64, "crude")
+        assert dict(solved) == {Params(1.0, 7, 64): 2}

@@ -1,6 +1,11 @@
 """Sampler, simulator, and moment accumulation."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,14 @@ from parklab import (
     upper_count_bound,
     z_diagnostics,
 )
-from parklab.montecarlo import _batch_size, _resolve_workers, _saturation_counts, _trial_rng
+import parklab
+from parklab.montecarlo import (
+    _batch_size,
+    _resolve_workers,
+    _saturation_counts,
+    _standardized_moments,
+    _trial_rng,
+)
 
 
 def _breadth_first_counts(lam, length, trials, rng):
@@ -200,6 +212,12 @@ class TestZDiagnostics:
         with pytest.raises(DomainError):
             z_diagnostics(SimConfig(1.0, 1.7, 100, seed=1), 1.0, 0.0)
 
+    def test_standardizing_a_run_equals_a_fresh_simulation(self):
+        cfg = SimConfig(1.0, 80.0, 3000, seed=29)
+        mean_ref, var_ref = 59.5, 2.9
+        z = _standardized_moments(run_mc(cfg).histogram, cfg.trials, mean_ref, var_ref)
+        assert z == z_diagnostics(cfg, mean_ref, var_ref)
+
     def test_standardized_moments_are_small_for_long_stretches(self):
         cfg = SimConfig(1.0, 50.0, 4000, seed=17)
         stats = run_mc(cfg)
@@ -219,3 +237,41 @@ class TestZDiagnostics:
             skews.append(abs(z3))
         for a, b in zip(skews, skews[1:]):
             assert b <= a + 2 * se
+
+
+# A process that installs a raising SIGTERM handler, as a harness might, then
+# runs a long pooled simulation.  Each pool worker announces itself when it
+# takes its first chunk.
+_SIGTERM_CHILD = """
+import signal
+from parklab import montecarlo
+
+def _raise(signum, frame):
+    raise RuntimeError("terminated")
+
+def _announce(job):
+    print("started", flush=True)
+    return simulate(job)
+
+simulate, montecarlo._simulate_chunk = montecarlo._simulate_chunk, _announce
+signal.signal(signal.SIGTERM, _raise)
+montecarlo.run_mc(montecarlo.SimConfig(1.0, 1000.0, 400_000, seed=1), threads=2)
+"""
+
+
+def test_sigterm_during_a_pooled_run_exits():
+    src = str(Path(parklab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_CHILD], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert proc.stdout.readline().strip() == "started"
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert "RuntimeError: terminated" in err
