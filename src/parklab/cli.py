@@ -37,11 +37,15 @@ def _rate(text: str) -> float:
     return value
 
 
-def _even_resolution(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _even_resolution(text: str) -> int:
+    value = _int(text)
     if value < 2 or value % 2 != 0:
         raise argparse.ArgumentTypeError(
             f"resolution m must be an even integer >= 2, got {value}")
@@ -49,10 +53,7 @@ def _even_resolution(text: str) -> int:
 
 
 def _horizon(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _int(text)
     if value != 0 and value < 3:
         raise argparse.ArgumentTypeError(
             f"horizon n must be 0 (pure tail bounds) or >= 3, got {value}")
@@ -67,20 +68,14 @@ def _solve_horizon(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    value = _int(text)
     if not (0 <= value < 2**64):
         raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {value}")
     return value
@@ -175,7 +170,7 @@ def _cmd_sweep(args) -> int:
     for lam in lams:
         method = args.tail or ("envelope" if lam < 3.0 else "crude")
         rep = _constants.constants_report(float(lam), args.n, args.m, method)
-        fields = [lam, rep.c.lo, rep.c.hi, rep.b.lo, rep.b.hi, rep.d.lo, rep.d.hi]
+        fields = [lam, *rep.endpoints]
         out.write(",".join(_FMT % v for v in fields) + f",{method}\n")
     return 0
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -39,6 +40,7 @@ from .core import (
     DomainError,
     Params,
     SegmentedGrid,
+    _check_rate,
 )
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "crude_width_formula",
     "envelope_mean_tail",
     "envelope_second_moment_tail",
+    "laplace_bracket",
     "density_bracket",
     "intercept_bracket",
     "variance_slope_bracket",
@@ -86,11 +89,8 @@ def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
     """
     if power not in (0, 1):
         raise DomainError(f"power must be 0 or 1, got {power!r}")
-    if power == 0:
-        weight = lambda t: np.exp(-lam * t)
-    else:
-        weight = lambda t: t * np.exp(-lam * t)
-    return _solver.integrate_weighted(grid, weight, 0.0, grid.horizon_n)
+    weight = lambda t: t**power * np.exp(-lam * t)
+    return _solver.integrate_weighted(grid, weight, 0, grid.horizon_n)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,7 @@ def crude_width_formula(lam: float, n: int) -> float:
 
 
 def _check_tail_args(lam: float, n: int) -> None:
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"rate must be finite and > 0, got {lam!r}")
+    _check_rate(lam)
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"truncation point must be an integer >= 0, got {n!r}")
 
@@ -230,23 +229,23 @@ def envelope_second_moment_tail(
 
 
 # ---------------------------------------------------------------------------
-# Bracket assembly.  Let P bracket the full Laplace integral
-# integral(lam * mean * e^(-lam*x), 0..inf).  Then:
+# Bracket assembly.  laplace_bracket encloses P, X and P2, the integrals over
+# 0..inf of lam*mean*e^(-lam*x), lam^2*x*mean*e^(-lam*x) and
+# lam*second_moment*e^(-lam*x); each report encloses each of them once.  Then:
 #   density   c = lam*(1 + P)/(lam + 1)
 #   intercept b = ((1+P)*(2-lam^2) + 2*e^lam*(1+lam)*P - 2*(lam+1)
 #                  - 2*(lam+1)*X) / (2*(lam+1)^2)
 #   slope     d = 2*b*c + 2*c - 2*e^lam*P*c/(lam+1) + (lam*P2 - lam)/(lam+1)
-# with X bracketing integral(lam^2*x*mean*e^(-lam*x)) and P2 bracketing
-# integral(lam*second_moment*e^(-lam*x)).  b is linear increasing in P and
-# decreasing in X; d is linear increasing in b and P2 and concave quadratic
-# in P.
+# density_bracket(lam, p), intercept_bracket(lam, p, x) and
+# variance_slope_bracket(lam, p, b, p2) map the (lo, hi) enclosures through
+# these.  b is linear increasing in P and decreasing in X; d is linear
+# increasing in b and P2 and concave quadratic in P.
+
+_Enclosure = tuple[float, float]
+
 
 def _density_from_p(lam: float, p: float) -> float:
     return lam / (lam + 1.0) * (1.0 + p)
-
-
-def _p_from_density(lam: float, c: float) -> float:
-    return c * (lam + 1.0) / lam - 1.0
 
 
 def _intercept_from(lam: float, p: float, x: float) -> float:
@@ -262,7 +261,8 @@ def _slope_from(lam: float, p: float, b: float, p2: float) -> float:
             + (lam * p2 - lam) / (lam + 1.0))
 
 
-def _p_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> tuple[float, float]:
+def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> _Enclosure:
+    """Enclosure (lo, hi) of lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
     if tail.n == 0:
         trunc = 0.0
     else:
@@ -275,73 +275,55 @@ def _p_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power
     return trunc + tail.lower_tail, trunc + tail.upper_tail
 
 
-def density_bracket(lam: float, m_grid: Optional[SegmentedGrid], tail: TailBound) -> Bracket:
-    """Enclosure of the limiting packing density mean(x)/x.
+def density_bracket(lam: float, p: _Enclosure) -> Bracket:
+    """Enclosure of the limiting packing density mean(x)/x, from P."""
+    return Bracket(_density_from_p(lam, p[0]), _density_from_p(lam, p[1]))
 
-    ``tail`` bounds the Laplace tail of the mean past x = tail.n; the solved
-    part comes from the grid (omitted entirely when tail.n = 0).
+
+def intercept_bracket(lam: float, p: _Enclosure, x: _Enclosure) -> Bracket:
+    """Enclosure of the additive constant in mean(x) ~ c*x + b, from P and X.
+
+    The identity is increasing in P and decreasing in X, so the lower
+    endpoint pairs P's lower bound with X's upper bound and vice versa.
     """
-    p_lo, p_hi = _p_bracket(lam, m_grid, tail, power=0)
-    return Bracket(_density_from_p(lam, p_lo), _density_from_p(lam, p_hi))
+    return Bracket(_intercept_from(lam, p[0], x[1]), _intercept_from(lam, p[1], x[0]))
 
 
-def intercept_bracket(
-    lam: float,
-    m_grid: Optional[SegmentedGrid],
-    c: Bracket,
-    xtail: TailBound,
-    mean_tail: Optional[TailBound] = None,
-) -> Bracket:
-    """Enclosure of the additive constant in mean(x) ~ c*x + b.
-
-    The identity is increasing in the density's Laplace integral and
-    decreasing in the x-weighted one, so the lower endpoint pairs c.lo with
-    xtail's upper bound and vice versa.  Passing the mean's own tail bound
-    recovers the underlying Laplace integral exactly; without it the
-    integral is read back out of ``c``, which costs one rounding of c and
-    only matters for rates beyond about 30.
-    """
-    x_lo, x_hi = _p_bracket(lam, m_grid, xtail, power=1)
-    p_lo, p_hi = _p_pair(lam, m_grid, c, mean_tail)
-    return Bracket(_intercept_from(lam, p_lo, x_hi), _intercept_from(lam, p_hi, x_lo))
-
-
-def _p_pair(
-    lam: float,
-    m_grid: Optional[SegmentedGrid],
-    c: Bracket,
-    mean_tail: Optional[TailBound],
-) -> tuple[float, float]:
-    if mean_tail is not None:
-        return _p_bracket(lam, m_grid, mean_tail, power=0)
-    return _p_from_density(lam, c.lo), _p_from_density(lam, c.hi)
-
-
-def variance_slope_bracket(
-    lam: float,
-    m_grid: Optional[SegmentedGrid],
-    m2_grid: Optional[SegmentedGrid],
-    c: Bracket,
-    b: Bracket,
-    tail2: TailBound,
-    mean_tail: Optional[TailBound] = None,
-) -> Bracket:
+def variance_slope_bracket(lam: float, p: _Enclosure, b: Bracket, p2: _Enclosure) -> Bracket:
     """Enclosure of the linear growth rate of the count's variance.
 
-    Increasing in b and in the second-moment integral; concave quadratic in
-    the mean's integral, so the maximizing candidate set carries the vertex
-    alongside the interval endpoints.  ``mean_tail`` plays the same
-    precision role as in :func:`intercept_bracket`.
+    Increasing in b and in P2; concave quadratic in P, so the maximizing
+    candidate set carries the vertex alongside the interval endpoints.
     """
-    p2_lo, p2_hi = _p_bracket(lam, m2_grid, tail2, power=0)
-    p_lo, p_hi = _p_pair(lam, m_grid, c, mean_tail)
-    lo = min(_slope_from(lam, p, b.lo, p2_lo) for p in (p_lo, p_hi))
+    p_lo, p_hi = p
+    lo = min(_slope_from(lam, q, b.lo, p2[0]) for q in (p_lo, p_hi))
     hi_candidates = [p_lo, p_hi]
     p_vertex = 0.5 * ((b.hi + 1.0) * (lam + 1.0) * math.exp(-lam) - 1.0)
     if p_lo < p_vertex < p_hi:
         hi_candidates.append(p_vertex)
-    hi = max(_slope_from(lam, p, b.hi, p2_hi) for p in hi_candidates)
+    hi = max(_slope_from(lam, q, b.hi, p2[1]) for q in hi_candidates)
     return Bracket(lo, hi)
+
+
+def _brackets(
+    lam: float,
+    m_grid: Optional[SegmentedGrid],
+    m2_grid: Optional[SegmentedGrid],
+    tail: TailBound,
+    xtail: TailBound,
+    tail2: TailBound,
+) -> tuple[Bracket, Bracket, Bracket]:
+    """Brackets (c, b, d), enclosing each of P, X and P2 once."""
+    p = laplace_bracket(lam, m_grid, tail, 0)
+    b = intercept_bracket(lam, p, laplace_bracket(lam, m_grid, xtail, 1))
+    d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, m2_grid, tail2, 0))
+    return density_bracket(lam, p), b, d
+
+
+def _step_bound_brackets(lam: float) -> tuple[Bracket, Bracket, Bracket]:
+    """Brackets (c, b, d) from the pure step-bound tails, nothing solved."""
+    return _brackets(lam, None, None, crude_mean_tail(lam, 0), crude_xmean_tail(lam, 0),
+                     crude_second_moment_tail(lam, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -405,35 +387,20 @@ def constants_report(
         raise DomainError(f"horizon_n must be 0 or an integer >= 3, got {horizon_n!r}")
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"rate must be finite and > 0, got {lam!r}")
+    _check_rate(lam)
 
-    delta = None
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
         coarse = constants_report(lam, horizon_n, half_m, tail_method)
         fine = constants_report(lam, horizon_n, resolution_m, tail_method)
-        delta = max(
-            abs(a - b)
-            for a, b in zip(
-                (fine.c.lo, fine.c.hi, fine.b.lo, fine.b.hi, fine.d.lo, fine.d.hi),
-                (coarse.c.lo, coarse.c.hi, coarse.b.lo, coarse.b.hi, coarse.d.lo, coarse.d.hi),
-            )
-        )
-        return ConstantsReport(
-            lam, horizon_n, resolution_m, fine.tail_method, fine.c, fine.b, fine.d,
-            fine.envelope_inf, fine.envelope_sup, delta, fine.uniform_fallback)
+        delta = max(abs(a - b) for a, b in zip(fine.endpoints, coarse.endpoints))
+        return dataclasses.replace(fine, quadrature_halving_delta=delta)
 
     if lam < UNIFORM_RATE_CUTOFF and horizon_n >= 3:
         return _uniform_fallback_report(lam, horizon_n, resolution_m)
 
     if horizon_n == 0:
-        tail = crude_mean_tail(lam, 0)
-        c = density_bracket(lam, None, tail)
-        b = intercept_bracket(lam, None, c, crude_xmean_tail(lam, 0), mean_tail=tail)
-        d = variance_slope_bracket(lam, None, None, c, b, crude_second_moment_tail(lam, 0),
-                                   mean_tail=tail)
-        return ConstantsReport(lam, 0, resolution_m, "crude", c, b, d)
+        return ConstantsReport(lam, 0, resolution_m, "crude", *_step_bound_brackets(lam))
 
     params = Params(lam, horizon_n, resolution_m)
     m_grid, m2_grid = _mean_grids(params)
@@ -450,10 +417,8 @@ def constants_report(
         tail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=0)
         xtail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=1)
         tail2 = envelope_second_moment_tail(lam, n, mean_at_n, env_inf, env_sup)
-    c = density_bracket(lam, m_grid, tail)
-    b = intercept_bracket(lam, m_grid, c, xtail, mean_tail=tail)
-    d = variance_slope_bracket(lam, m_grid, m2_grid, c, b, tail2, mean_tail=tail)
-    return ConstantsReport(lam, n, resolution_m, tail_method, c, b, d, env_inf, env_sup)
+    return ConstantsReport(lam, n, resolution_m, tail_method,
+                           *_brackets(lam, m_grid, m2_grid, tail, xtail, tail2), env_inf, env_sup)
 
 
 def _uniform_fallback_report(lam: float, horizon_n: int, resolution_m: int) -> ConstantsReport:
@@ -468,10 +433,6 @@ def _uniform_fallback_report(lam: float, horizon_n: int, resolution_m: int) -> C
     env_inf, env_sup = _envelope.window_extrema(grid, horizon_n)
     c = Bracket(env_inf, env_sup)
     b = Bracket(env_inf - 1.0, env_sup - 1.0)
-    tail0 = crude_mean_tail(lam, 0)
-    c_crude = density_bracket(lam, None, tail0)
-    b_crude = intercept_bracket(lam, None, c_crude, crude_xmean_tail(lam, 0), mean_tail=tail0)
-    d = variance_slope_bracket(lam, None, None, c_crude, b_crude,
-                               crude_second_moment_tail(lam, 0), mean_tail=tail0)
+    d = _step_bound_brackets(lam)[2]
     return ConstantsReport(lam, horizon_n, resolution_m, "envelope", c, b, d,
                            env_inf, env_sup, None, uniform_fallback=True)

@@ -42,6 +42,12 @@ GRID_KINDS = ("M", "Mprime", "M2", "uniformMprime")
 UNIFORM_RATE_CUTOFF = 1e-6
 
 
+def _check_rate(lam: float) -> None:
+    """Reject anything but a finite positive real rate (numpy floats pass)."""
+    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+        raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated solver inputs.
@@ -56,8 +62,7 @@ class Params:
     resolution_m: int = 256
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
-            raise DomainError(f"rate lam must be finite and > 0, got {self.lam!r}")
+        _check_rate(self.lam)
         if not (isinstance(self.horizon_n, int) and self.horizon_n >= 3):
             raise DomainError(f"horizon_n must be an integer >= 3, got {self.horizon_n!r}")
         m = self.resolution_m
@@ -135,20 +140,18 @@ class SegmentedGrid:
         m = self.resolution_m
         return k + np.arange(m + 1) / m
 
-    def value(self, x: float, side: str = "left") -> float:
+    def value(self, x: float) -> float:
         """Evaluate at x in [0, horizon].
 
-        At interior integer abscissae ``side`` selects which segment's
-        extension to read; "left" returns the actual function value for the
-        left-continuous grids produced here.
+        At interior integer abscissae this reads the segment to the left,
+        which is the actual function value for the left-continuous grids
+        produced here.
         """
         n, m = self.horizon_n, self.resolution_m
         if not (0.0 <= x <= n):
             raise DomainError(f"x={x} outside grid range [0, {n}]")
-        if side not in ("left", "right"):
-            raise DomainError(f"side must be 'left' or 'right', got {side!r}")
         k = int(math.floor(x))
-        if x == k and ((side == "left" and k > 0) or k == n):
+        if x == k and k > 0:
             return float(self.values[k - 1, m])
         off = (x - k) * m
         j = int(round(off))
@@ -212,18 +215,18 @@ class ConstantsReport:
             if self.envelope_inf > self.envelope_sup:
                 raise DomainError("envelope_inf must not exceed envelope_sup")
 
+    @property
+    def endpoints(self) -> tuple[float, float, float, float, float, float]:
+        """(c.lo, c.hi, b.lo, b.hi, d.lo, d.hi)."""
+        return (self.c.lo, self.c.hi, self.b.lo, self.b.hi, self.d.lo, self.d.hi)
+
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,
             "n": self.horizon_n,
             "m": self.resolution_m,
             "tail_method": self.tail_method,
-            "c_lo": self.c.lo,
-            "c_hi": self.c.hi,
-            "b_lo": self.b.lo,
-            "b_hi": self.b.hi,
-            "d_lo": self.d.lo,
-            "d_hi": self.d.hi,
+            **dict(zip(("c_lo", "c_hi", "b_lo", "b_hi", "d_lo", "d_hi"), self.endpoints)),
             "envelope_inf": self.envelope_inf,
             "envelope_sup": self.envelope_sup,
             "quadrature_halving_delta": self.quadrature_halving_delta,
@@ -238,8 +241,7 @@ def mean_closed(x: float, lam: float) -> float:
     probability enters through a ratio of exponential masses.  Continuous
     except for the unit jump at x = 1; equals 2 at x = 3 by cancellation.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"rate must be finite and > 0, got {lam!r}")
+    _check_rate(lam)
     if not (0.0 <= x <= 3.0):
         raise DomainError(f"closed form only valid on [0, 3], got x={x!r}")
     if x <= 1.0:
@@ -258,8 +260,7 @@ def mean_derivative_closed(x: float, lam: float, from_right: bool = False) -> fl
     right-limit value at 2.  x = 1 and x = 2 are jump points and are only
     evaluated when ``from_right`` requests the right limit.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"rate must be finite and > 0, got {lam!r}")
+    _check_rate(lam)
     if not (0.0 < x <= 3.0):
         raise DomainError(f"closed form only valid on (0, 3], got x={x!r}")
     if x == 1.0 or x == 2.0:

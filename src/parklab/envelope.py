@@ -31,8 +31,8 @@ def window_extrema(grid: SegmentedGrid, n: int) -> tuple[float, float]:
     return float(seg.min()), float(seg.max())
 
 
-def check_nesting(grid: SegmentedGrid, from_n: int, to_n: int, tol: float = NESTING_TOL) -> list[bool]:
-    """Whether consecutive windows from_n..to_n shrink, within tolerance.
+def check_nesting(grid: SegmentedGrid, from_n: int, to_n: int) -> list[bool]:
+    """Whether consecutive windows from_n..to_n shrink, within NESTING_TOL.
 
     Entry i reports inf[n] <= inf[n+1] and sup[n+1] <= sup[n] for
     n = from_n + i.  A False pinpoints either a solver defect or a kernel
@@ -45,6 +45,6 @@ def check_nesting(grid: SegmentedGrid, from_n: int, to_n: int, tol: float = NEST
     lo_prev, hi_prev = window_extrema(grid, from_n)
     for n in range(from_n + 1, to_n + 1):
         lo, hi = window_extrema(grid, n)
-        results.append(lo_prev <= lo + tol and hi <= hi_prev + tol)
+        results.append(lo_prev <= lo + NESTING_TOL and hi <= hi_prev + NESTING_TOL)
         lo_prev, hi_prev = lo, hi
     return results

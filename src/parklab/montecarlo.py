@@ -29,13 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, lower_count_bound, upper_count_bound
+from .core import DomainError, _check_rate, lower_count_bound, upper_count_bound
 
 __all__ = [
     "SimConfig",
     "SimStats",
-    "sample_truncated_exp",
-    "saturation_count",
     "run_mc",
     "z_diagnostics",
 ]
@@ -52,8 +50,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
-            raise DomainError(f"rate lam must be finite and > 0, got {self.lam!r}")
+        _check_rate(self.lam)
         if not (isinstance(self.length, (int, float)) and math.isfinite(self.length) and self.length > 0):
             raise DomainError(f"length must be finite and > 0, got {self.length!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
@@ -91,24 +88,14 @@ class SimStats:
         }
 
 
-def sample_truncated_exp(lam: float, support_len: float, u: float) -> float:
-    """Inverse-CDF draw from the truncated exponential on [0, support_len).
+def _place(lam: float, free: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF offset of a car on a free stretch [0, free), elementwise.
 
-    u = 0 maps to 0; the expm1/log1p forms keep the map accurate down to
-    vanishing rates, where it degrades gracefully to u*support_len.
+    The truncated exponential law with rate lam: u = 0 maps to 0, and the
+    expm1/log1p forms keep the map accurate down to vanishing rates, where it
+    degrades gracefully to u*free.
     """
-    if not (support_len > 0.0):
-        raise DomainError(f"support_len must be > 0, got {support_len!r}")
-    return -math.log1p(u * math.expm1(-lam * support_len)) / lam
-
-
-def saturation_count(lam: float, length: float, rng: np.random.Generator) -> int:
-    """Cars parked at saturation on a stretch of the given length.
-
-    A batch of one trial of ``_saturation_counts``; a gap admits a car only
-    if strictly longer than 1.
-    """
-    return int(_saturation_counts(lam, length, 1, rng)[0])
+    return -np.log1p(u * np.expm1(-lam * free)) / lam
 
 
 def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,9 +103,9 @@ def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Ge
 
     ``gaps`` holds every live gap (longer than 1) of the batch and ``owner``
     the trial it belongs to.  Each round draws ``rng.random(gaps.size)``,
-    parks one car in every live gap with the inverse CDF of
-    ``sample_truncated_exp``, and keeps the left pieces, then the right
-    pieces, that are still longer than 1, each in their previous order.
+    parks one car in every live gap with ``_place``, and keeps the left
+    pieces, then the right pieces, that are still longer than 1, each in
+    their previous order.
     """
     counts = np.zeros(trials, dtype=np.int64)
     if length <= 1.0:
@@ -127,7 +114,7 @@ def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Ge
     owner = np.arange(trials)
     while gaps.size:
         free = gaps - 1.0
-        t = -np.log1p(rng.random(gaps.size) * np.expm1(-lam * free)) / lam
+        t = _place(lam, free, rng.random(gaps.size))
         counts += np.bincount(owner, minlength=trials)
         rest = free - t
         left, right = t > 1.0, rest > 1.0

@@ -39,10 +39,9 @@ __all__ = [
 ]
 
 
-# Integrals of the cubic through four consecutive unit-spaced nodes, taken
-# over the first subinterval (edge) and over the middle one.
+# Integral of the cubic through four consecutive unit-spaced nodes, taken
+# over the first subinterval.
 _EDGE_W = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
-_MID_W = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
 
 
 def _subinterval_increments(vals: np.ndarray, h: float) -> np.ndarray:
@@ -73,8 +72,6 @@ def _panel_weights(n_sub: int) -> np.ndarray:
 
     Odd counts take a 3/8 block at the end; both pieces are exact on cubics.
     """
-    if n_sub < 2:
-        raise ValueError("panels with a single subinterval use the stencil rule")
     w = np.zeros(n_sub + 1)
     even_part = n_sub if n_sub % 2 == 0 else n_sub - 3
     if even_part >= 2:
@@ -88,64 +85,25 @@ def _panel_weights(n_sub: int) -> np.ndarray:
     return w
 
 
-def _single_subinterval_weights(j0: int, m: int) -> tuple[int, np.ndarray]:
-    """Stencil base and weights integrating one subinterval [j0, j0+1].
-
-    Uses the cubic through four consecutive segment nodes so the leftover
-    odd panel keeps full order.  Falls back to Simpson's two-subinterval
-    quadratic for three-node segments.
-    """
-    if m == 2:
-        if j0 == 0:
-            return 0, np.array([5.0, 8.0, -1.0]) / 12.0
-        return 0, np.array([-1.0, 8.0, 5.0]) / 12.0
-    base = min(max(j0 - 1, 0), m - 3)
-    pos = j0 - base
-    if pos == 0:
-        return base, _EDGE_W
-    if pos == 1:
-        return base, _MID_W
-    return base, _EDGE_W[::-1]
-
-
 def integrate_weighted(
     grid: SegmentedGrid,
     weight: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a: int,
+    b: int,
 ) -> float:
     """Composite-Simpson value of the integral of weight(t)*grid(t) over [a, b].
 
-    Panels are split at a, b and at every integer breakpoint in between, so
-    the piecewise-smooth grid is only ever integrated where it is smooth.
+    The ends are integers, so every panel is one whole segment and the
+    piecewise-smooth grid is only ever integrated where it is smooth.
     ``weight`` must accept an ndarray of abscissae.
     """
-    n = grid.horizon_n
-    m = grid.resolution_m
-    if not (0.0 <= a <= b <= n):
-        raise DomainError(f"integration range [{a}, {b}] outside grid range [0, {n}]")
-    if a == b:
-        return 0.0
-    cuts = [a] + [float(k) for k in range(math.floor(a) + 1, math.ceil(b))] + [b]
+    n, m = grid.horizon_n, grid.resolution_m
+    if not (isinstance(a, int) and isinstance(b, int) and 0 <= a <= b <= n):
+        raise DomainError(f"integration range [{a}, {b}] needs integer ends in [0, {n}]")
+    w = _panel_weights(m)
     total = 0.0
-    for p, q in zip(cuts[:-1], cuts[1:]):
-        k = min(int(math.floor(p)), n - 1)
-        op, oq = (p - k) * m, (q - k) * m
-        j0, j1 = round(op), round(oq)
-        aligned = abs(op - j0) < 1e-9 and abs(oq - j1) < 1e-9
-        if aligned and j1 - j0 >= 2:
-            ts = grid.x_nodes(k)[j0:j1 + 1]
-            fv = weight(ts) * grid.values[k, j0:j1 + 1]
-            total += (1.0 / m) * float(_panel_weights(j1 - j0) @ fv)
-        elif aligned and j1 - j0 == 1:
-            base, w = _single_subinterval_weights(j0, m)
-            ts = grid.x_nodes(k)[base:base + w.size]
-            total += (1.0 / m) * float(w @ (weight(ts) * grid.values[k, base:base + w.size]))
-        else:
-            n_sub = max(2, 2 * math.ceil(0.5 * (oq - op)))
-            ts = np.linspace(p, q, n_sub + 1)
-            gv = _interp_segment(grid.values[k], (ts - k) * m)
-            total += ((q - p) / n_sub) * float(_panel_weights(n_sub) @ (weight(ts) * gv))
+    for k in range(a, b):
+        total += (1.0 / m) * float(w @ (weight(grid.x_nodes(k)) * grid.values[k]))
     return total
 
 

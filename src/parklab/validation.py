@@ -93,7 +93,7 @@ def _check_3(quick: bool, threads) -> list[CheckResult]:
 def _check_4(quick: bool, threads) -> list[CheckResult]:
     lam = 1.0
     q = math.exp(-lam)
-    c = _constants.density_bracket(lam, None, _constants.crude_mean_tail(lam, 0))
+    c = _constants._step_bound_brackets(lam)[0]
     ref_lo = lam / (lam + 1) * (1 + q / -math.expm1(-2 * lam))
     ref_hi = lam / (lam + 1) * (1 + q / -math.expm1(-lam))
     err = max(abs(c.lo - ref_lo), abs(c.hi - ref_hi))
@@ -217,9 +217,7 @@ def _check_11(quick: bool, threads) -> list[CheckResult]:
     for method in ("envelope", "crude"):
         r256 = _constants.constants_report(1.0, 7, 256, method)
         r512 = _constants.constants_report(1.0, 7, 512, method)
-        delta = max(abs(a - b) for a, b in zip(
-            (r256.c.lo, r256.c.hi, r256.b.lo, r256.b.hi, r256.d.lo, r256.d.hi),
-            (r512.c.lo, r512.c.hi, r512.b.lo, r512.b.hi, r512.d.lo, r512.d.hi)))
+        delta = max(abs(a - b) for a, b in zip(r256.endpoints, r512.endpoints))
         out.append(CheckResult(11, f"m=256 vs 512 endpoint stability ({method})",
                                delta <= 1e-8, f"max endpoint delta {delta:.2e} (tol 1e-8)"))
     return out

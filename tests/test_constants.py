@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from parklab import (
-    Bracket,
-    DomainError,
-    Params,
+from parklab import Bracket, DomainError, Params, constants_report
+from parklab import constants, solver, validation
+from parklab.constants import (
     TailBound,
-    constants_report,
     crude_mean_tail,
     crude_second_moment_tail,
     crude_width_formula,
@@ -22,10 +20,10 @@ from parklab import (
     envelope_mean_tail,
     envelope_second_moment_tail,
     intercept_bracket,
+    laplace_bracket,
     truncated_laplace,
     variance_slope_bracket,
 )
-from parklab import solver, validation
 from parklab.core import SegmentedGrid
 
 
@@ -176,6 +174,20 @@ def _direct_intercept(lam, c, x_weighted):
     return c * k - (elam + 1) / (lam + 1) - x_weighted / (lam + 1)
 
 
+def _step_p(lam):
+    # enclosure of P from the pure step-bound tail, nothing solved
+    return laplace_bracket(lam, None, crude_mean_tail(lam, 0), 0)
+
+
+def _step_x(lam):
+    return laplace_bracket(lam, None, crude_xmean_tail(lam, 0), 1)
+
+
+def _p_of(lam, c):
+    # P for a given density: the density identity solved for P
+    return c * (lam + 1.0) / lam - 1.0
+
+
 def _direct_slope(lam, c, b, p2):
     elam = math.exp(lam)
     b1 = (4 * b * c - (2 * elam / lam) * c**2
@@ -185,14 +197,14 @@ def _direct_slope(lam, c, b, p2):
 
 class TestDensityBracket:
     def test_pure_tail_endpoints_at_rate_one(self):
-        c = density_bracket(1.0, None, crude_mean_tail(1.0, 0))
+        c = density_bracket(1.0, _step_p(1.0))
         q = math.exp(-1.0)
         assert c.lo == pytest.approx(0.5 * (1 + q / (1 - q * q)), abs=1e-15)
         assert c.hi == pytest.approx(0.5 * (1 + q / (1 - q)), abs=1e-15)
 
     def test_large_rate_asymptote(self):
         lam = 10.0
-        c = density_bracket(lam, None, crude_mean_tail(lam, 0))
+        c = density_bracket(lam, _step_p(lam))
         target = lam * (1 + math.exp(-lam)) / (lam + 1)
         assert c.contains(target, slack=10 * math.exp(-2 * lam))
 
@@ -203,15 +215,15 @@ class TestDensityBracket:
 
     def test_grid_required_for_positive_truncation(self):
         with pytest.raises(DomainError):
-            density_bracket(1.0, None, crude_mean_tail(1.0, 7))
+            laplace_bracket(1.0, None, crude_mean_tail(1.0, 7), 0)
 
 
 class TestInterceptBracket:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, 6.0])
     def test_pure_tail_matches_direct_formula(self, lam):
         # oracle: unfactored identity fed with series-summed tails
-        c = density_bracket(lam, None, crude_mean_tail(lam, 0))
-        b = intercept_bracket(lam, None, c, crude_xmean_tail(lam, 0))
+        c = density_bracket(lam, _step_p(lam))
+        b = intercept_bracket(lam, _step_p(lam), _step_x(lam))
         x_lo = _series_tail(lam, 0, lambda k: math.ceil(k / 2), 1)
         x_hi = _series_tail(lam, 0, lambda k: k, 1)
         assert b.lo == pytest.approx(_direct_intercept(lam, c.lo, x_hi), rel=1e-9, abs=1e-11)
@@ -219,17 +231,14 @@ class TestInterceptBracket:
 
     def test_large_rate_asymptote(self):
         lam = 8.0
-        c = density_bracket(lam, None, crude_mean_tail(lam, 0))
-        b = intercept_bracket(lam, None, c, crude_xmean_tail(lam, 0))
+        b = intercept_bracket(lam, _step_p(lam), _step_x(lam))
         target = -0.5 + 1 / (lam + 1) + 1 / (2 * (lam + 1) ** 2)
         assert b.contains(target, slack=10 * math.exp(-lam))
 
     def test_stable_at_large_rate(self):
         # the e^lam-sized pieces must cancel symbolically, not in floats
         lam = 40.0
-        tail = crude_mean_tail(lam, 0)
-        c = density_bracket(lam, None, tail)
-        b = intercept_bracket(lam, None, c, crude_xmean_tail(lam, 0), mean_tail=tail)
+        b = intercept_bracket(lam, _step_p(lam), _step_x(lam))
         target = -0.5 + 1 / (lam + 1) + 1 / (2 * (lam + 1) ** 2)
         assert abs(b.midpoint - target) < 1e-12
         assert b.width < 1e-12
@@ -243,10 +252,10 @@ class TestVarianceSlopeBracket:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
     def test_degenerate_inputs_match_direct_formula(self, lam):
         c_pt, b_pt = 0.77, -0.26
-        c = Bracket(c_pt, c_pt)
+        p = (_p_of(lam, c_pt), _p_of(lam, c_pt))
         b = Bracket(b_pt, b_pt)
         tail = crude_second_moment_tail(lam, 0)
-        d = variance_slope_bracket(lam, None, None, c, b, tail)
+        d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, None, tail, 0))
         lo_ref = _direct_slope(lam, c_pt, b_pt, tail.lower_tail)
         hi_ref = _direct_slope(lam, c_pt, b_pt, tail.upper_tail)
         assert d.lo == pytest.approx(lo_ref, rel=1e-10, abs=1e-12)
@@ -266,12 +275,12 @@ class TestVarianceSlopeBracket:
         b_w=st.floats(0.0, 0.05),
     )
     def test_widening_inputs_never_narrows_output(self, lam, c_mid, c_w, b_mid, b_w):
-        tail = crude_second_moment_tail(lam, 0)
-        narrow = variance_slope_bracket(
-            lam, None, None, Bracket(c_mid, c_mid), Bracket(b_mid, b_mid), tail)
+        p2 = laplace_bracket(lam, None, crude_second_moment_tail(lam, 0), 0)
+        p_mid = _p_of(lam, c_mid)
+        narrow = variance_slope_bracket(lam, (p_mid, p_mid), Bracket(b_mid, b_mid), p2)
         wide = variance_slope_bracket(
-            lam, None, None,
-            Bracket(c_mid - c_w, c_mid + c_w), Bracket(b_mid - b_w, b_mid + b_w), tail)
+            lam, (_p_of(lam, c_mid - c_w), _p_of(lam, c_mid + c_w)),
+            Bracket(b_mid - b_w, b_mid + b_w), p2)
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
 
@@ -325,6 +334,23 @@ class TestReports:
             "d_lo", "d_hi", "envelope_inf", "envelope_sup",
             "quadrature_halving_delta", "uniform_fallback",
         }
+
+    def test_endpoints_order(self):
+        rep = constants_report(1.0, 7, 64, "crude")
+        assert rep.endpoints == (rep.c.lo, rep.c.hi, rep.b.lo, rep.b.hi, rep.d.lo, rep.d.hi)
+
+    def test_each_laplace_integral_enclosed_once(self, monkeypatch):
+        # P and X on the mean grid, P2 on the second-moment grid, once each
+        enclosed = []
+        original = constants.truncated_laplace
+
+        def counting(grid, lam, power):
+            enclosed.append((grid.kind, power))
+            return original(grid, lam, power)
+
+        monkeypatch.setattr(constants, "truncated_laplace", counting)
+        constants_report(1.0, 7, 64, "crude")
+        assert sorted(enclosed) == [("M", 0), ("M", 1), ("M2", 0)]
 
     def test_horizon_validation(self):
         with pytest.raises(DomainError):

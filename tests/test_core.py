@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parklab import (
-    Bracket,
-    DomainError,
-    Params,
-    SegmentedGrid,
-    lower_count_bound,
-    mean_closed,
-    mean_derivative_closed,
-    upper_count_bound,
-)
+from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
+from parklab.constants import crude_mean_tail
+from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
 
 
 class TestMeanClosed:
@@ -108,6 +101,27 @@ class TestParams:
         assert (p.horizon_n, p.resolution_m) == (7, 256)
 
 
+class TestCheckRate:
+    ENTRY_POINTS = [
+        lambda lam: Params(lam),
+        lambda lam: SimConfig(lam, 5.0, 10),
+        lambda lam: mean_closed(2.5, lam),
+        lambda lam: mean_derivative_closed(2.5, lam),
+        lambda lam: crude_mean_tail(lam, 3),
+        lambda lam: constants_report(lam, 0, 64, "crude"),
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, "1.0", None])
+    def test_every_entry_point_rejects_with_one_message(self, entry, lam):
+        with pytest.raises(DomainError, match=r"^rate lam must be finite and > 0, got "):
+            entry(lam)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_floats_pass(self, entry):
+        entry(np.float64(1.0))
+
+
 class TestBracket:
     def test_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -133,7 +147,7 @@ class TestSegmentedGrid:
     def test_left_value_at_jump(self):
         g = self._grid()
         assert g.value(1.0) == 0.0  # function value, not the right limit
-        assert g.value(1.0, side="right") == 1.0
+        assert g.values[1, 0] == 1.0  # the right limit lives on the next segment
 
     def test_interpolation_matches_closed_form(self):
         g = self._grid()

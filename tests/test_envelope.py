@@ -7,11 +7,11 @@ from parklab import (
     DomainError,
     Params,
     SegmentedGrid,
-    check_nesting,
     solve_mean_derivative,
     solve_uniform_mean_derivative,
     window_extrema,
 )
+from parklab.envelope import check_nesting
 
 
 def test_constant_grid_degenerate_window():

@@ -11,26 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parklab import (
-    DomainError,
-    Params,
-    SimConfig,
-    lower_count_bound,
-    run_mc,
-    sample_truncated_exp,
-    saturation_count,
-    solve_mean,
-    solve_second_moment,
-    upper_count_bound,
-    z_diagnostics,
-)
+from parklab import DomainError, Params, SimConfig, run_mc, solve_mean, solve_second_moment
 import parklab
+from parklab.core import lower_count_bound, upper_count_bound
 from parklab.montecarlo import (
     _batch_size,
+    _place,
     _resolve_workers,
     _saturation_counts,
     _standardized_moments,
     _trial_rng,
+    z_diagnostics,
 )
 
 
@@ -46,7 +37,7 @@ def _breadth_first_counts(lam, length, trials, rng):
         left, right = [], []
         for (gap, i), u in zip(gaps, rng.random(len(gaps))):
             free = gap - 1.0
-            t = sample_truncated_exp(lam, free, float(u))
+            t = _place(lam, free, float(u))
             counts[i] += 1
             if t > 1.0:
                 left.append((t, i))
@@ -58,30 +49,29 @@ def _breadth_first_counts(lam, length, trials, rng):
 
 class TestSampler:
     def test_zero_maps_to_zero(self):
-        assert sample_truncated_exp(1.0, 3.0, 0.0) == 0.0
+        assert _place(1.0, 3.0, 0.0) == 0.0
 
     def test_vanishing_rate_is_uniform(self):
         for u in (0.1, 0.5, 0.9):
-            assert sample_truncated_exp(1e-12, 4.0, u) == pytest.approx(4.0 * u, rel=1e-9)
+            assert _place(1e-12, 4.0, u) == pytest.approx(4.0 * u, rel=1e-9)
 
     @given(st.floats(0.0, 0.999999), st.floats(0.05, 8.0), st.floats(0.5, 20.0))
     def test_in_support(self, u, lam, support):
-        t = sample_truncated_exp(lam, support, u)
+        t = _place(lam, support, u)
         assert 0.0 <= t <= support
 
     @given(st.floats(0.05, 8.0), st.floats(0.5, 20.0))
     def test_monotone_in_u(self, lam, support):
-        us = np.linspace(0.0, 0.999, 50)
-        ts = [sample_truncated_exp(lam, support, float(u)) for u in us]
-        assert all(a <= b for a, b in zip(ts, ts[1:]))
+        ts = _place(lam, support, np.linspace(0.0, 0.999, 50))
+        assert np.all(np.diff(ts) >= 0.0)
 
     def test_empirical_cdf_against_analytic(self):
         # inverse-transform draws must follow the analytic law
         lam, support, n = 1.0, 3.0, 1_000_000
         rng = np.random.default_rng(7)
         u = rng.random(n)
-        t = np.array(-np.log1p(u * np.expm1(-lam * support)) / lam)
-        spot = [sample_truncated_exp(lam, support, float(v)) for v in u[:64]]
+        t = _place(lam, support, u)
+        spot = [_place(lam, support, float(v)) for v in u[:64]]
         assert spot == pytest.approx(list(t[:64]), rel=1e-15)
         t.sort()
         cdf = -np.expm1(-lam * t) / -np.expm1(-lam * support)
@@ -90,24 +80,24 @@ class TestSampler:
         ks = max(np.max(np.abs(empirical_hi - cdf)), np.max(np.abs(cdf - empirical_lo)))
         assert ks < 0.002
 
-    def test_rejects_empty_support(self):
-        with pytest.raises(DomainError):
-            sample_truncated_exp(1.0, 0.0, 0.5)
+
+def _one_count(lam, length, rng):
+    return _saturation_counts(lam, length, 1, rng)[0]
 
 
 class TestSaturationCount:
     def test_too_short_for_any_car(self):
         rng = _trial_rng(0, 0)
-        assert saturation_count(1.0, 0.8, rng) == 0
+        assert _one_count(1.0, 0.8, rng) == 0
 
     def test_single_car_region(self):
         for trial in range(50):
-            assert saturation_count(1.0, 1.7, _trial_rng(3, trial)) == 1
+            assert _one_count(1.0, 1.7, _trial_rng(3, trial)) == 1
 
     def test_two_car_case(self):
         # at length 3 one sub-gap always admits exactly one more car
         for trial in range(200):
-            assert saturation_count(0.7, 3.0, _trial_rng(4, trial)) == 2
+            assert _one_count(0.7, 3.0, _trial_rng(4, trial)) == 2
 
     @pytest.mark.parametrize("lam, length, trials", [(1.2, 13.4, 40), (0.3, 7.0, 25), (5.0, 30.0, 3)])
     def test_batch_matches_breadth_first_reference(self, lam, length, trials):
@@ -117,7 +107,7 @@ class TestSaturationCount:
     def test_single_trial_is_a_batch_of_one(self):
         for batch in range(20):
             batch_of_one = _saturation_counts(1.0, 30.0, 1, _trial_rng(7, batch))
-            assert saturation_count(1.0, 30.0, _trial_rng(7, batch)) == batch_of_one[0]
+            assert batch_of_one.tolist() == _breadth_first_counts(1.0, 30.0, 1, _trial_rng(7, batch))
 
     def test_batch_size_rule(self):
         assert _batch_size(0.5) == _batch_size(30.0) == _batch_size(1024.0) == 1024
@@ -126,7 +116,7 @@ class TestSaturationCount:
 
     def test_counts_within_bounds(self):
         for trial in range(300):
-            c = saturation_count(1.2, 13.4, _trial_rng(5, trial))
+            c = _one_count(1.2, 13.4, _trial_rng(5, trial))
             assert lower_count_bound(13.4) <= c <= upper_count_bound(13.4)
 
 
