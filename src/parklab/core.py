@@ -11,7 +11,7 @@ produced by the steppers in :mod:`parklab.solver`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -109,7 +109,6 @@ class SegmentedGrid:
     kind: str
     values: np.ndarray
     lam: Optional[float] = None
-    uniform_substituted: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in GRID_KINDS:

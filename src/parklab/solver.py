@@ -9,7 +9,9 @@ convolution-type terms, at the mirror images of the integer breakpoints; each
 panel rule is exact on cubics, giving fourth-order accuracy throughout.
 
 Every recursion is stepped by one core, :func:`_march`, given its kernels
-and the closure that turns their integrals into the next segment.
+and the closure that turns their integrals into the next segment.  The
+second moment's product convolution depends only on the already-solved
+mean, so :func:`_product_grid` computes it once, before that march starts.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     integrals run over already-complete segments.  ``seed_upto=2`` exercises
     the stepper against the closed form on (2, 3].  Below
     UNIFORM_RATE_CUTOFF the uniform limit value(x+1) = 2*integral(M)/x + 1
-    is solved instead and the grid is flagged.
+    is solved instead, so the grid does not depend on the rate there.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
@@ -195,7 +197,7 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
         _march(vals, 0.0, seed_upto, [(vals, lambda s, offs: 1.0, False)],
                lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
         _check_count_bounds(vals, lam)
-        return SegmentedGrid("M", vals, lam=lam, uniform_substituted=True)
+        return SegmentedGrid("M", vals, lam=lam)
 
     if seed_upto == 3:
         vals[2] = 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * offs) / -np.expm1(-lam * (1.0 + offs))
@@ -241,7 +243,7 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
         raise DomainError("seed_upto must be 2 or 3")
     if params.lam < UNIFORM_RATE_CUTOFF:
         base = solve_uniform_mean_derivative(params.horizon_n, params.resolution_m)
-        return SegmentedGrid("Mprime", base.values, lam=params.lam, uniform_substituted=True)
+        return SegmentedGrid("Mprime", base.values, lam=params.lam)
 
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     offs = _node_offsets(m)
@@ -284,9 +286,9 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
 
     The stepping identity mirrors the mean's but carries five integral
     terms: two in the unknown, two in the solved mean, and the product
-    convolution of the mean with itself.  The product term is integrated
-    panel by panel between consecutive breakpoints of either factor; both
-    factors land exactly on grid nodes there.
+    convolution of the mean with itself.  The product term depends only on
+    the mean, so :func:`_product_grid` computes it at every node once,
+    before the march; the march then reads one row of it per segment.
     """
     if params.lam < UNIFORM_RATE_CUTOFF:
         raise DomainError("no uniform-limit second-moment recursion; rate below cutoff unsupported")
@@ -297,77 +299,67 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
         raise DomainError("m_grid was solved with different parameters")
 
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    h = 1.0 / m
-    offs = _node_offsets(m)
     mvals = m_grid.values
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
-    # lam*e^{-lam*t} at every node of every segment, reused by the product term
-    node_w = lam * np.exp(-lam * (np.arange(n)[:, None] + offs[None, :]))
+    prod = _product_grid(mvals, lam)
 
     def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
         own = ints[0] + ints[1]
         mean_terms = ints[2] + ints[3]
-        prod = np.empty(m + 1)
-        for j in range(m + 1):
-            prod[j] = _product_convolution(mvals, node_w, lam, s, j, m, h)
-        return 1.0 + (own + 2.0 * mean_terms + 2.0 * prod) / -np.expm1(-lam * x)
+        return 1.0 + (own + 2.0 * mean_terms + 2.0 * prod[s]) / -np.expm1(-lam * x)
 
     _march(vals, lam, 2, _exp_kernels(vals, lam) + _exp_kernels(mvals, lam), close, 2)
     return SegmentedGrid("M2", vals, lam=lam)
 
 
-def _product_convolution(
-    mvals: np.ndarray,
-    node_w: np.ndarray,
-    lam: float,
-    s: int,
-    j: int,
-    m: int,
-    h: float,
-) -> float:
-    """Integral of lam*e^{-lam t} * f(t) * f(x-t) over [0, x] at x = s + j*h.
+def _product_grid(mvals: np.ndarray, lam: float) -> np.ndarray:
+    """Integral of lam*e^{-lam t} * f(t) * f(x-t) over [0, x] at every node.
 
-    Between consecutive breakpoints (integers and their mirror images x - i)
-    both factors stay inside single segments and their samples are reversed
+    Row s holds the nodes x = s + j*h of segment s, for the segments
+    s = 1..n-2 that the march closes; rows 0 and n-1 stay zero.  Between
+    consecutive breakpoints (integers and their mirror images x - i) both
+    factors stay inside single segments and their samples are reversed
     slices of each other, so every panel works on exact node values.  The
-    leftover single-subinterval panels take one interpolated midpoint.
+    leftover single-subinterval panels (j = 1 and j = m-1) take one
+    interpolated midpoint, which always sits half a step into a segment's
+    first or last subinterval.
     """
-    total = 0.0
-    for i in range(s + 1):
-        # panel [i, i + j*h]: factor segments i and s - i
-        if j > 0:
-            a = mvals[i, :j + 1]
-            b = mvals[s - i, :j + 1][::-1]
-            fv = node_w[i, :j + 1] * a * b
-            total += _product_panel(fv, mvals, lam, i, s - i, 0, j, s + j * h, m, h)
-        # panel [i + j*h, i + 1]: factor segments i and s - i - 1
-        if j < m and i < s:
-            a = mvals[i, j:]
-            b = mvals[s - i - 1, j:][::-1]
-            fv = node_w[i, j:] * a * b
-            total += _product_panel(fv, mvals, lam, i, s - i - 1, j, m, s + j * h, m, h)
-    return total
+    n, m = mvals.shape[0], mvals.shape[1] - 1
+    h = 1.0 / m
+    offs = _node_offsets(m)
+    # lam*e^{-lam t}*f(t) at every node, and every row of f read backwards
+    wm = lam * np.exp(-lam * (np.arange(n)[:, None] + offs[None, :])) * mvals
+    rev = mvals[:, ::-1]
+    # f, and lam*e^{-lam t}*f(t), half a step into each first and last subinterval
+    mid = [_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals]
+    wmid = [(lam * math.exp(-lam * (i + 0.5 * h)) * a,
+             lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)]
+    prod = np.zeros((n, m + 1))
+    for j in range(m + 1):
+        # panel [i, i + j*h] pairs segments i and s - i; [i + j*h, i + 1] pairs i and s - i - 1
+        head, head_rev = list(wm[:, :j + 1]), list(rev[:, m - j:])
+        tail, tail_rev = list(wm[:, j:]), list(rev[:, :m - j + 1])
+        for s in range(1, n - 1):
+            total = 0.0
+            for i in range(s + 1):
+                if j > 0:
+                    f_mid = wmid[i][0] * mid[s - i][0] if j == 1 else None
+                    total += _product_panel(head[i] * head_rev[s - i], f_mid, h)
+                if j < m and i < s:
+                    f_mid = wmid[i][1] * mid[s - i - 1][1] if j == m - 1 else None
+                    total += _product_panel(tail[i] * tail_rev[s - i - 1], f_mid, h)
+            prod[s, j] = total
+    return prod
 
 
-def _product_panel(
-    fv: np.ndarray,
-    mvals: np.ndarray,
-    lam: float,
-    seg_a: int,
-    seg_b: int,
-    j0: int,
-    j1: int,
-    x: float,
-    m: int,
-    h: float,
-) -> float:
-    n_sub = j1 - j0
+def _product_panel(fv: np.ndarray, f_mid: float | None, h: float) -> float:
+    """Integral over one panel from its node samples ``fv``.
+
+    Composite Simpson for two or more subintervals; a single subinterval
+    takes Simpson's rule with the interpolated midpoint sample ``f_mid``.
+    """
+    n_sub = fv.size - 1
     if n_sub >= 2:
-        return h * float(_panel_weights(n_sub) @ fv)
-    # single subinterval: Simpson with the midpoint of both factors interpolated
-    t_mid = seg_a + (j0 + 0.5) * h
-    a_mid = float(_interp_segment(mvals[seg_a], np.array([j0 + 0.5]))[0])
-    b_mid = float(_interp_segment(mvals[seg_b], np.array([(x - t_mid - seg_b) * m]))[0])
-    f_mid = lam * math.exp(-lam * t_mid) * a_mid * b_mid
+        return h * float(fv.dot(_panel_weights(n_sub)))
     return h * (fv[0] + 4.0 * f_mid + fv[1]) / 6.0

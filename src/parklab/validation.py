@@ -46,7 +46,7 @@ def _grid_max_err(grid, closed: Callable[[float, float], float], lam: float) -> 
     return float(np.max(np.abs(grid.values[2] - ref)))
 
 
-def _check_1(quick: bool, threads) -> list[CheckResult]:
+def _check_1(quick: bool) -> list[CheckResult]:
     t0 = time.perf_counter()
     worst = 0.0
     for lam in (0.5, 1.0, 2.0):
@@ -62,7 +62,7 @@ def _check_1(quick: bool, threads) -> list[CheckResult]:
                         f"max node error {worst:.3e} (tol 1e-9), runtime {elapsed:.2f}s (limit 1s)")]
 
 
-def _check_2(quick: bool, threads) -> list[CheckResult]:
+def _check_2(quick: bool) -> list[CheckResult]:
     worst = 0.0
     for lam in (0.1, 1.0, 5.0):
         p = Params(lam, 7, 256)
@@ -78,7 +78,7 @@ def _check_2(quick: bool, threads) -> list[CheckResult]:
                         f"max violation {worst:.3e} (tol 0)")]
 
 
-def _check_3(quick: bool, threads) -> list[CheckResult]:
+def _check_3(quick: bool) -> list[CheckResult]:
     flags = []
     for lam in (0.5, 1.0, 2.0):
         g = _constants._derivative_grid(Params(lam, 7, 256))
@@ -90,7 +90,7 @@ def _check_3(quick: bool, threads) -> list[CheckResult]:
                         f"{sum(flags)}/{len(flags)} windows nested (tol 1e-9)")]
 
 
-def _check_4(quick: bool, threads) -> list[CheckResult]:
+def _check_4(quick: bool) -> list[CheckResult]:
     lam = 1.0
     q = math.exp(-lam)
     c = _constants._step_bound_brackets(lam)[0]
@@ -111,7 +111,7 @@ def _check_4(quick: bool, threads) -> list[CheckResult]:
     return [r_a, r_b]
 
 
-def _check_5(quick: bool, threads) -> list[CheckResult]:
+def _check_5(quick: bool) -> list[CheckResult]:
     out = []
     for lam in (5.0, 8.0):
         rep = _constants.constants_report(lam, 7, 256, "crude")
@@ -137,7 +137,7 @@ def _gap(bracket, value: float) -> float:
     return max(bracket.lo - value, value - bracket.hi, 0.0)
 
 
-def _check_6(quick: bool, threads) -> list[CheckResult]:
+def _check_6(quick: bool) -> list[CheckResult]:
     gu = _solver.solve_uniform_mean_derivative(16, 256)
     lo, hi = _envelope.window_extrema(gu, 16)
     mid = 0.5 * (lo + hi)
@@ -151,7 +151,7 @@ def _check_6(quick: bool, threads) -> list[CheckResult]:
     return [r_a, r_b]
 
 
-def _check_7(quick: bool, threads) -> list[CheckResult]:
+def _check_7(quick: bool) -> list[CheckResult]:
     gu = _solver.solve_uniform_mean_derivative(7, 256)
     dists = []
     for lam in (0.5, 0.2, 0.1, 0.05):
@@ -163,18 +163,18 @@ def _check_7(quick: bool, threads) -> list[CheckResult]:
                         f"max distances at rates 0.5,0.2,0.1,0.05: {msg}")]
 
 
-def _check_8(quick: bool, threads) -> list[CheckResult]:
+def _check_8(quick: bool) -> list[CheckResult]:
     t0 = time.perf_counter()
     scale = 10 if quick else 1
     cfg_mean = _mc.SimConfig(1.0, 30.0, 100_000 // scale, _SEED)
-    stats30 = _mc.run_mc(cfg_mean, threads=threads)
+    stats30 = _mc.run_mc(cfg_mean)
     m30 = _solver.solve_mean(Params(1.0, 30, 256)).value(30.0)
     dev = abs(stats30.mean - m30) / stats30.stderr_mean
     r_a = CheckResult(8, "simulated mean vs solver at x=30", dev <= 4.0,
                       f"|mean-{m30:.5f}| = {dev:.2f} stderr (limit 4)")
 
     cfg_var = _mc.SimConfig(1.0, 60.0, 200_000 // scale, _SEED + 1)
-    stats60 = _mc.run_mc(cfg_var, threads=threads)
+    stats60 = _mc.run_mc(cfg_var)
     rep = _constants.constants_report(1.0, 7, 256, "envelope")
     x = 60.0
     se_var = math.sqrt(max(stats60.excess_kurtosis + 2.0, 0.1)
@@ -192,18 +192,18 @@ def _check_8(quick: bool, threads) -> list[CheckResult]:
     return [r_a, r_b, r_c]
 
 
-def _check_9(quick: bool, threads) -> list[CheckResult]:
+def _check_9(quick: bool) -> list[CheckResult]:
     # the kurtosis threshold needs ~5k trials of resolution even in quick mode
     trials = 5_000 if quick else 20_000
     cfg = _mc.SimConfig(1.0, 500.0, trials, _SEED + 2)
-    stats = _mc.run_mc(cfg, threads=threads)
+    stats = _mc.run_mc(cfg)
     z3, z4 = _mc._standardized_moments(stats.histogram, cfg.trials, stats.mean, stats.variance)
     ok = abs(z3) <= 0.1 and abs(z4) <= 0.2
     return [CheckResult(9, "normality of the standardized count at x=500", ok,
                         f"skewness {z3:+.4f} (tol 0.1), excess kurtosis {z4:+.4f} (tol 0.2)")]
 
 
-def _check_10(quick: bool, threads) -> list[CheckResult]:
+def _check_10(quick: bool) -> list[CheckResult]:
     rep = _constants.constants_report(1.0, 7, 256, "envelope")
     lo = rep.b.lo + 1.0 - rep.c.hi
     hi = rep.b.hi + 1.0 - rep.c.lo
@@ -212,7 +212,7 @@ def _check_10(quick: bool, threads) -> list[CheckResult]:
                         f"interval for b+(1-c) = [{lo:+.6f}, {hi:+.6f}] excludes 0: {ok}")]
 
 
-def _check_11(quick: bool, threads) -> list[CheckResult]:
+def _check_11(quick: bool) -> list[CheckResult]:
     out = []
     for method in ("envelope", "crude"):
         r256 = _constants.constants_report(1.0, 7, 256, method)
@@ -223,7 +223,7 @@ def _check_11(quick: bool, threads) -> list[CheckResult]:
     return out
 
 
-CRITERIA: dict[int, Callable[[bool, Optional[int]], list[CheckResult]]] = {
+CRITERIA: dict[int, Callable[[bool], list[CheckResult]]] = {
     1: _check_1,
     2: _check_2,
     3: _check_3,
@@ -241,7 +241,6 @@ CRITERIA: dict[int, Callable[[bool, Optional[int]], list[CheckResult]]] = {
 def run_checks(
     quick: bool = False,
     criteria: Optional[Iterable[int]] = None,
-    threads: Optional[int] = None,
 ) -> list[CheckResult]:
     """Run the selected acceptance criteria (all by default), in order.
 
@@ -255,5 +254,5 @@ def run_checks(
     results: list[CheckResult] = []
     with _constants._shared_grids():
         for c in selected:
-            results.extend(CRITERIA[c](quick, threads))
+            results.extend(CRITERIA[c](quick))
     return results

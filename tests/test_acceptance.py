@@ -14,7 +14,7 @@ from parklab import validation
 
 
 def _run(criterion):
-    results = validation.CRITERIA[criterion](False, None)
+    results = validation.CRITERIA[criterion](False)
     for r in results:
         print(r.line())
     return results

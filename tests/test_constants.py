@@ -380,7 +380,7 @@ class TestSharedGrids:
         grids = [(0.1, 256), (1.0, 256), (5.0, 256), (8.0, 256), (1.0, 512)]
         assert dict(solved) == {Params(lam, 7, m): 1 for lam, m in grids}
         # sharing changes no verdict and no measured value
-        assert shared == [r for c in (2, 4, 5, 11) for r in validation.CRITERIA[c](True, None)]
+        assert shared == [r for c in (2, 4, 5, 11) for r in validation.CRITERIA[c](True)]
 
     def test_reports_outside_a_validation_run_solve_afresh(self, monkeypatch):
         solved = self._count_m2_solves(monkeypatch)

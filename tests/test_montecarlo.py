@@ -231,8 +231,9 @@ class TestZDiagnostics:
 
 # A process that installs a raising SIGTERM handler, as a harness might, then
 # runs a long pooled simulation.  Each pool worker announces itself when it
-# takes its first chunk.
+# takes its first chunk, in one write so that two workers' lines never mix.
 _SIGTERM_CHILD = """
+import os
 import signal
 from parklab import montecarlo
 
@@ -240,7 +241,7 @@ def _raise(signum, frame):
     raise RuntimeError("terminated")
 
 def _announce(job):
-    print("started", flush=True)
+    os.write(1, b"started\\n")
     return simulate(job)
 
 simulate, montecarlo._simulate_chunk = montecarlo._simulate_chunk, _announce

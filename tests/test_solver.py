@@ -16,8 +16,14 @@ from parklab import (
     solve_second_moment,
     solve_uniform_mean_derivative,
 )
-from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
-from parklab.solver import integrate_weighted
+from parklab.core import (
+    _interp_segment,
+    lower_count_bound,
+    mean_closed,
+    mean_derivative_closed,
+    upper_count_bound,
+)
+from parklab.solver import _panel_weights, _product_grid, integrate_weighted
 
 
 def _const_grid(value=1.0, n=3, m=8, kind="M", lam=1.0):
@@ -154,7 +160,12 @@ class TestSolveMean:
 
     def test_uniform_substitution_below_cutoff(self):
         g = solve_mean(Params(1e-8, 5, 64))
-        assert g.uniform_substituted and g.kind == "M"
+        assert g.kind == "M"
+        # below the cutoff the grids are the uniform limit's, whatever the rate
+        other = Params(5e-7, 5, 64)
+        assert np.array_equal(g.values, solve_mean(other).values)
+        assert np.array_equal(solve_mean_derivative(Params(1e-8, 5, 64)).values,
+                              solve_mean_derivative(other).values)
         # the substituted solution still matches the vanishing-rate closed form
         ref = np.array([mean_closed(x, 1e-8) for x in g.x_nodes(2)])
         assert np.max(np.abs(g.values[2] - ref)) <= 1e-7
@@ -272,6 +283,57 @@ class TestSolveSecondMoment:
         g2 = solve_second_moment(p, solve_mean(p))
         for x, ref in refs.items():
             assert g2.value(x) == pytest.approx(ref, abs=5e-10)
+
+
+def _product_node_reference(mvals, lam, s, j):
+    """The product convolution at x = s + j/m, node by node and panel by
+    panel with a freshly interpolated midpoint for each single-subinterval
+    panel: the solver's arithmetic before the grid was built at once."""
+    n, m = mvals.shape[0], mvals.shape[1] - 1
+    h = 1.0 / m
+    node_w = lam * np.exp(-lam * (np.arange(n)[:, None] + np.arange(m + 1) * (1.0 / m)))
+
+    def panel(fv, seg_a, seg_b, j0, j1, x):
+        if j1 - j0 >= 2:
+            return h * float(_panel_weights(j1 - j0) @ fv)
+        t_mid = seg_a + (j0 + 0.5) * h
+        a_mid = float(_interp_segment(mvals[seg_a], np.array([j0 + 0.5]))[0])
+        b_mid = float(_interp_segment(mvals[seg_b], np.array([(x - t_mid - seg_b) * m]))[0])
+        f_mid = lam * math.exp(-lam * t_mid) * a_mid * b_mid
+        return h * (fv[0] + 4.0 * f_mid + fv[1]) / 6.0
+
+    total = 0.0
+    for i in range(s + 1):
+        if j > 0:
+            fv = node_w[i, :j + 1] * mvals[i, :j + 1] * mvals[s - i, :j + 1][::-1]
+            total += panel(fv, i, s - i, 0, j, s + j * h)
+        if j < m and i < s:
+            fv = node_w[i, j:] * mvals[i, j:] * mvals[s - i - 1, j:][::-1]
+            total += panel(fv, i, s - i - 1, j, m, s + j * h)
+    return total
+
+
+class TestProductGrid:
+    @pytest.mark.parametrize("lam", [0.5, 5.0])
+    @pytest.mark.parametrize("m", [4, 64])
+    def test_constant_mean_gives_exponential_cdf(self, lam, m):
+        # with f = 1 the term is the integral of lam*e^{-lam t} over [0, x];
+        # the j = 1 and j = m-1 nodes exercise the midpoint panels
+        n = 6
+        prod = _product_grid(np.ones((n, m + 1)), lam)
+        x = np.arange(n)[:, None] + np.arange(m + 1) / m
+        tol = lam**4 / m**4 / 50.0  # the panel rules' error stays below lam^4 h^4 / 80
+        assert np.max(np.abs(prod[1:n - 1] + np.expm1(-lam * x[1:n - 1]))) <= tol
+
+    @pytest.mark.parametrize("lam,n,m", [(1.0, 7, 8), (0.5, 10, 16), (5.0, 7, 4), (1.0, 5, 2)])
+    def test_matches_node_by_node_reference_bit_for_bit(self, lam, n, m):
+        # any smooth rows will do, and solve_mean rejects lam=5 at m=4
+        x = np.arange(n)[:, None] + np.arange(m + 1) / m
+        mvals = 1.0 + 0.6 * x + 0.1 * np.sin(3.0 * x)
+        prod = _product_grid(mvals, lam)
+        ref = [[_product_node_reference(mvals, lam, s, j) for j in range(m + 1)]
+               for s in range(1, n - 1)]
+        assert np.array_equal(prod[1:n - 1], np.array(ref))
 
 
 class TestSolveUniform:
