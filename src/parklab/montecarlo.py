@@ -16,16 +16,26 @@ from a counter-based generator keyed by (seed, b) in the breadth-first
 order of ``_saturation_counts``, so results are independent of execution
 order, and all moment accumulation happens in exact integer arithmetic, so
 parallel runs are bit-identical to serial ones.
+
+Runs can also be started ahead of time: inside ``_started_runs(configs)``
+one worker pool simulates every listed config in the background, and
+``run_mc`` on one of them collects its result, so a caller can do other work
+while they run.  With one resolved worker nothing is started and every run
+stays in-process, in call order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import multiprocessing
 import os
 import signal
+import time
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -167,6 +177,52 @@ def _resolve_workers(threads: int | None, trials: int) -> int:
     return max(1, min(threads, trials // _MIN_TRIALS_PER_WORKER or 1))
 
 
+def _jobs(config: SimConfig, workers: int) -> list[tuple[float, float, int, int, int, int]]:
+    """``_simulate_chunk`` arguments covering config's batches: one chunk for
+    one worker, else 4*workers chunks of consecutive batches."""
+    batches = -(-config.trials // _batch_size(config.length))
+    edges = np.linspace(0, batches, 4 * workers + 1).astype(int) if workers > 1 \
+        else np.array([0, batches])
+    return [(config.lam, config.length, config.seed, config.trials, int(a), int(b))
+            for a, b in zip(edges[:-1], edges[1:]) if a < b]
+
+
+# Runs started by ``_started_runs``: config -> (perf_counter() at submission,
+# the pool's pending chunk histograms).  None outside the block.
+_STARTED: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("_STARTED", default=None)
+
+
+@contextlib.contextmanager
+def _started_runs(configs: Iterable[SimConfig]) -> Iterator[None]:
+    """Simulate ``configs`` in one background pool for the length of the block.
+
+    On entry every config's chunks are submitted, in order, to one pool of
+    the largest worker count ``_resolve_workers`` gives any of them; inside
+    the block ``run_mc`` on a started config waits for and summarizes its
+    chunks.  When every config resolves to one worker nothing is started.
+    The pool is terminated when the block exits, also on an exception.
+    """
+    configs = list(configs)
+    workers = [_resolve_workers(None, c.trials) for c in configs]
+    if max(workers, default=1) == 1:
+        yield
+        return
+    with multiprocessing.Pool(max(workers), initializer=_default_sigterm) as pool:
+        token = _STARTED.set({c: (time.perf_counter(), pool.map_async(_simulate_chunk, _jobs(c, w)))
+                              for c, w in zip(configs, workers)})
+        try:
+            yield
+        finally:
+            _STARTED.reset(token)
+
+
+def _submitted_at(config: SimConfig) -> float:
+    """perf_counter() time at which a started run of config was submitted;
+    now for a config that was not started."""
+    run = (_STARTED.get() or {}).get(config)
+    return run[0] if run else time.perf_counter()
+
+
 def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     """Simulate config.trials independent saturations and summarize them.
 
@@ -175,18 +231,23 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     bit-identical for any worker count because each batch's stream depends
     only on (seed, batch index), the batches are fixed by config.trials and
     the batch-size rule, and the reduction is exact integer arithmetic.
+    Inside ``_started_runs`` a started config is not simulated again: its
+    background run is collected.
     """
     workers = _resolve_workers(threads, config.trials)
-    batches = -(-config.trials // _batch_size(config.length))
-    edges = np.linspace(0, batches, 4 * workers + 1).astype(int) if workers > 1 \
-        else np.array([0, batches])
-    jobs = [(config.lam, config.length, config.seed, config.trials, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:]) if a < b]
-    if workers == 1:
-        parts = [_simulate_chunk(j) for j in jobs]
+    run = (_STARTED.get() or {}).get(config)
+    if run:
+        parts = run[1].get()
+    elif workers == 1:
+        parts = [_simulate_chunk(j) for j in _jobs(config, 1)]
     else:
         with multiprocessing.Pool(processes=workers, initializer=_default_sigterm) as pool:
-            parts = pool.map(_simulate_chunk, jobs)
+            parts = pool.map(_simulate_chunk, _jobs(config, workers))
+    return _summarize(config, parts)
+
+
+def _summarize(config: SimConfig, parts: list[Counter]) -> SimStats:
+    """SimStats of a run from its chunks' count histograms."""
     hist = dict(sorted(sum(parts, Counter()).items()))
     s1, s2, s3, s4 = (sum(f * k**p for k, f in hist.items()) for p in range(1, 5))
 

@@ -17,6 +17,7 @@ mean, so :func:`_product_grid` computes it once, before that march starts.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -163,6 +164,35 @@ def _march(
                  for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
 
 
+# The interior cubic stencil of _subinterval_increments forms 13*f + 13*g
+# before it divides by 24.
+_STENCIL_GAIN = 26.0
+
+
+def _max_rate(horizon_n: int) -> float:
+    """Largest rate whose weighted samples the solvers can represent.
+
+    A kernel factor reaches lam*e^lam (see _march), the samples it weights
+    are at most n^2 (the second moment of a count of at most n), and the cubic
+    stencil multiplies their product by up to _STENCIL_GAIN, so the limit
+    solves lam + log(lam) = log(max float) - log(_STENCIL_GAIN * n^2), here
+    by Newton's method.
+    """
+    target = math.log(sys.float_info.max) - math.log(_STENCIL_GAIN * horizon_n**2)
+    lam = target
+    for _ in range(6):
+        lam -= (lam + math.log(lam) - target) / (1.0 + 1.0 / lam)
+    return lam
+
+
+def _check_representable(params: Params) -> None:
+    limit = _max_rate(params.horizon_n)
+    if params.lam > limit:
+        raise DomainError(
+            f"rate lam={params.lam:.17g} is above {limit:.17g}, the largest the solvers can "
+            f"step to n={params.horizon_n}: the kernel factor lam*e^lam would overflow")
+
+
 def _exp_kernels(rows: np.ndarray, lam: float) -> list[_Kernel]:
     """The mean recursion's direct and convolution kernels over ``rows``.
 
@@ -184,9 +214,11 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     the stepper against the closed form on (2, 3].  Below
     UNIFORM_RATE_CUTOFF the uniform limit value(x+1) = 2*integral(M)/x + 1
     is solved instead, so the grid does not depend on the rate there.
+    Rates above ``_max_rate(horizon_n)`` are rejected before stepping.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
+    _check_representable(params)
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
@@ -237,10 +269,12 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
     The stepping identity divides an accumulated sinh-kernel integral by
     cosh(lam*x) - 1; carried multiplied by exp(-lam*x), the denominator
     becomes expm1(-lam*x)^2 / 2 and every factor stays in [0, lam*e^lam].
-    The jump at x = 2 is kept; later segments join continuously.
+    The jump at x = 2 is kept; later segments join continuously.  Rates
+    above ``_max_rate(horizon_n)`` are rejected before stepping.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
+    _check_representable(params)
     if params.lam < UNIFORM_RATE_CUTOFF:
         base = solve_uniform_mean_derivative(params.horizon_n, params.resolution_m)
         return SegmentedGrid("Mprime", base.values, lam=params.lam)

@@ -6,6 +6,12 @@ the same facts.  Check 4b is expected to fail on a correct build: the
 advertised n=7 crude-bracket width target of about 7.6e-7 is not achievable
 from the step bounds, whose gap decays like n*e^(-lam*n) (about 1.56e-3
 there); see the README for the analysis.  Everything else passes.
+
+``run_checks`` starts the simulations of the selected criteria 8 and 9 in one
+background worker pool when it begins (see ``_sim_configs``), so they run
+while the solver criteria do; each of the two collects its runs when it gets
+there.  With one resolved worker they run in-process when their criterion
+does, as before.
 """
 
 from __future__ import annotations
@@ -163,17 +169,29 @@ def _check_7(quick: bool) -> list[CheckResult]:
                         f"max distances at rates 0.5,0.2,0.1,0.05: {msg}")]
 
 
+def _sim_configs(criterion: int, quick: bool) -> tuple[_mc.SimConfig, ...]:
+    """The simulations criterion 8 or 9 runs, in the order it collects them;
+    none for the others."""
+    if criterion == 8:
+        scale = 10 if quick else 1
+        return (_mc.SimConfig(1.0, 30.0, 100_000 // scale, _SEED),
+                _mc.SimConfig(1.0, 60.0, 200_000 // scale, _SEED + 1))
+    if criterion == 9:
+        # the kurtosis threshold needs ~5k trials of resolution even in quick mode
+        return (_mc.SimConfig(1.0, 500.0, 5_000 if quick else 20_000, _SEED + 2),)
+    return ()
+
+
 def _check_8(quick: bool) -> list[CheckResult]:
-    t0 = time.perf_counter()
-    scale = 10 if quick else 1
-    cfg_mean = _mc.SimConfig(1.0, 30.0, 100_000 // scale, _SEED)
+    cfg_mean, cfg_var = _sim_configs(8, quick)
+    # runs started by run_checks are clocked from their submission
+    t0 = min(_mc._submitted_at(cfg_mean), _mc._submitted_at(cfg_var))
     stats30 = _mc.run_mc(cfg_mean)
     m30 = _solver.solve_mean(Params(1.0, 30, 256)).value(30.0)
     dev = abs(stats30.mean - m30) / stats30.stderr_mean
     r_a = CheckResult(8, "simulated mean vs solver at x=30", dev <= 4.0,
                       f"|mean-{m30:.5f}| = {dev:.2f} stderr (limit 4)")
 
-    cfg_var = _mc.SimConfig(1.0, 60.0, 200_000 // scale, _SEED + 1)
     stats60 = _mc.run_mc(cfg_var)
     rep = _constants.constants_report(1.0, 7, 256, "envelope")
     x = 60.0
@@ -193,9 +211,7 @@ def _check_8(quick: bool) -> list[CheckResult]:
 
 
 def _check_9(quick: bool) -> list[CheckResult]:
-    # the kurtosis threshold needs ~5k trials of resolution even in quick mode
-    trials = 5_000 if quick else 20_000
-    cfg = _mc.SimConfig(1.0, 500.0, trials, _SEED + 2)
+    cfg, = _sim_configs(9, quick)
     stats = _mc.run_mc(cfg)
     z3, z4 = _mc._standardized_moments(stats.histogram, cfg.trials, stats.mean, stats.variance)
     ok = abs(z3) <= 0.1 and abs(z4) <= 0.2
@@ -245,14 +261,17 @@ def run_checks(
     """Run the selected acceptance criteria (all by default), in order.
 
     The criteria share their rated M, M2 and M' grids: each (lam, n, m) is
-    solved once per call, and the grids are released when it returns.
+    solved once per call, and the grids are released when it returns.  The
+    selected criteria's simulations are started in one worker pool first,
+    and run while the criteria before them do.
     """
     selected = sorted(set(criteria)) if criteria is not None else sorted(CRITERIA)
     unknown = [c for c in selected if c not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")
     results: list[CheckResult] = []
-    with _constants._shared_grids():
+    sims = [cfg for c in selected for cfg in _sim_configs(c, quick)]
+    with _constants._shared_grids(), _mc._started_runs(sims):
         for c in selected:
             results.extend(CRITERIA[c](quick))
     return results

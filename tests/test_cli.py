@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -109,6 +111,15 @@ class TestConstants:
         assert payload["envelope_inf"] <= payload["envelope_sup"]
         assert payload["quadrature_halving_delta"] is not None
 
+    def test_unrepresentable_rate_rejected_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "constants", "--lambda", "710")
+        assert code == 2
+        assert out == ""
+        assert "rate lam=710 is above 696.08" in err and "n=7" in err
+        assert "lam*e^lam would overflow" in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["constants", "--lambda", "1", "--bogus", "2"])
@@ -187,6 +198,15 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--criteria", "10")
         assert code == 0
         assert "criterion 10" in out and "PASS" in out
+
+    def test_verdicts_do_not_depend_on_the_worker_count(self, capsys, monkeypatch):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PARKLAB_THREADS", threads)
+            code, out, _ = run_cli(capsys, "validate", "--quick", "--criteria", "8,9")
+            outs.append((code, re.sub(r"runtime: [\d.]+s", "runtime: <masked>", out)))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][1].count("PASS") == 4
 
     def test_corrupted_solver_fails_validation(self, capsys, monkeypatch):
         real = parklab.solver.solve_mean

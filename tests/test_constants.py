@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,6 +382,17 @@ class TestSharedGrids:
         assert dict(solved) == {Params(lam, 7, m): 1 for lam, m in grids}
         # sharing changes no verdict and no measured value
         assert shared == [r for c in (2, 4, 5, 11) for r in validation.CRITERIA[c](True)]
+
+    def test_started_simulations_change_no_result(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+
+        def masked(results):
+            return [replace(r, measured="<runtime>") if r.name == "simulation runtime" else r
+                    for r in results]
+
+        shared = validation.run_checks(quick=True, criteria=[8, 9])
+        direct = [r for c in (8, 9) for r in validation.CRITERIA[c](True)]
+        assert masked(shared) == masked(direct)
 
     def test_reports_outside_a_validation_run_solve_afresh(self, monkeypatch):
         solved = self._count_m2_solves(monkeypatch)

@@ -1,6 +1,8 @@
 """Sampler, simulator, and moment accumulation."""
 
 import math
+import multiprocessing
+import multiprocessing.pool
 import os
 import signal
 import subprocess
@@ -14,12 +16,14 @@ from hypothesis import given, strategies as st
 from parklab import DomainError, Params, SimConfig, run_mc, solve_mean, solve_second_moment
 import parklab
 from parklab.core import lower_count_bound, upper_count_bound
+from parklab import montecarlo
 from parklab.montecarlo import (
     _batch_size,
     _place,
     _resolve_workers,
     _saturation_counts,
     _standardized_moments,
+    _started_runs,
     _trial_rng,
     z_diagnostics,
 )
@@ -195,6 +199,53 @@ class TestRunMc:
             SimConfig(1.0, -1.0, 10)
         with pytest.raises(DomainError):
             SimConfig(1.0, 5.0, 10, seed=-1)
+
+
+class TestStartedRuns:
+    A = SimConfig(1.0, 20.0, 5000, seed=41)
+    B = SimConfig(0.5, 40.0, 4500, seed=42)
+
+    @staticmethod
+    def _pools(monkeypatch) -> list:
+        """Every pool constructed from here on."""
+        made = []
+        real = multiprocessing.Pool
+
+        def counting(*args, **kwargs):
+            made.append(real(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting)
+        return made
+
+    @pytest.mark.parametrize("threads, pools", [("1", 0), ("2", 1)])
+    def test_started_runs_equal_plain_runs_from_one_pool(self, monkeypatch, threads, pools):
+        monkeypatch.setenv("PARKLAB_THREADS", threads)
+        plain = [run_mc(self.A), run_mc(self.B)]
+        made = self._pools(monkeypatch)
+        with _started_runs([self.A, self.B]):
+            assert [run_mc(self.A), run_mc(self.B)] == plain
+        # one resolved worker: nothing is started and both run in-process
+        assert len(made) == pools
+
+    def test_a_config_not_started_runs_as_before(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        plain = run_mc(self.B)
+        made = self._pools(monkeypatch)
+        with _started_runs([self.A]):
+            assert run_mc(self.B) == plain
+            assert len(made) == 2  # the block's pool, then B's own
+
+    def test_pool_is_terminated_when_the_block_raises(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        made = self._pools(monkeypatch)
+        with pytest.raises(KeyError):
+            with _started_runs([self.A, self.B]):
+                raise KeyError("a criterion failed")
+        pool, = made
+        assert pool._state == multiprocessing.pool.TERMINATE
+        assert all(worker.exitcode is not None for worker in pool._pool)
+        assert montecarlo._STARTED.get() is None
 
 
 class TestZDiagnostics:

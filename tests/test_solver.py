@@ -1,6 +1,7 @@
 """Quadrature and method-of-steps solvers against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from parklab.core import (
     mean_derivative_closed,
     upper_count_bound,
 )
-from parklab.solver import _panel_weights, _product_grid, integrate_weighted
+from parklab.solver import _max_rate, _panel_weights, _product_grid, integrate_weighted
 
 
 def _const_grid(value=1.0, n=3, m=8, kind="M", lam=1.0):
@@ -227,6 +228,45 @@ class TestSolveMeanDerivative:
         g = solve_mean_derivative(Params(1.0, 5, 256))
         for x, ref in refs.items():
             assert g.value(x) == pytest.approx(ref, abs=5e-10)
+
+
+class TestRateLimit:
+    """Rates whose kernel factor lam*e^lam the marches cannot represent."""
+
+    def test_limit_solves_its_defining_equation(self):
+        for n in (3, 7, 30):
+            lam = _max_rate(n)
+            assert lam + math.log(lam) == pytest.approx(
+                math.log(np.finfo(float).max) - math.log(26.0 * n * n), rel=1e-15)
+        assert 690.0 < _max_rate(30) < _max_rate(7) < _max_rate(3) < 700.0
+
+    @pytest.mark.parametrize("n", [3, 7, 30])
+    def test_rates_past_the_limit_raise_before_stepping(self, n):
+        limit = _max_rate(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lam in (limit * (1 + 1e-12), limit + 0.01, 703.0, 710.0, 1e4):
+                for solve in (solve_mean, solve_mean_derivative):
+                    with pytest.raises(DomainError, match=rf"lam={lam:.17g} is above "
+                                       rf"{limit:.17g}.*n={n}.*lam\*e\^lam would overflow"):
+                        solve(Params(lam, n, 64))
+
+    @pytest.mark.parametrize("n, lam", [(3, None), (7, None), (7, 690.0), (30, 690.0)])
+    def test_rates_up_to_the_limit_solve_without_warnings(self, n, lam):
+        lam = lam or _max_rate(n)
+        params = Params(lam, n, 1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m_grid = solve_mean(params)
+            assert np.all(np.isfinite(solve_mean_derivative(params).values))
+            if n < 30:  # M2 at n=30, m=1024 is a slow solve
+                assert np.all(np.isfinite(solve_second_moment(params, m_grid).values))
+
+    def test_too_coarse_at_690_is_still_a_counting_bound_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="lam=690 with m=256.*larger --m"):
+                solve_mean(Params(690.0, 7, 256))
 
 
 class TestSolveSecondMoment:

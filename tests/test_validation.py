@@ -1,0 +1,31 @@
+"""How ``run_checks`` runs the criteria: background simulations and their clock."""
+
+import math
+import multiprocessing.pool
+import time
+
+from parklab import validation
+
+
+def test_simulation_runtime_covers_the_started_runs(monkeypatch):
+    # criterion 2 runs first, while criterion 8's simulations run in the pool
+    monkeypatch.setenv("PARKLAB_THREADS", "2")
+    spans = []
+    real = multiprocessing.pool.Pool.map_async
+
+    def timed(self, func, iterable, *args, **kwargs):
+        span = [time.perf_counter(), math.inf]
+        spans.append(span)
+
+        def done(_):
+            span[1] = time.perf_counter()
+
+        return real(self, func, iterable, callback=done)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", timed)
+    results = validation.run_checks(quick=True, criteria=[2, 8])
+    runtime, = [r for r in results if r.name == "simulation runtime"]
+    reading = float(runtime.measured.split("s ")[0])
+    assert len(spans) == 2
+    submit_to_done = max(end for _, end in spans) - min(start for start, _ in spans)
+    assert reading + 0.05 >= submit_to_done  # the reading is printed to 0.1 s
