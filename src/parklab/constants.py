@@ -26,12 +26,14 @@ import contextlib
 import contextvars
 import dataclasses
 import math
+import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import envelope as _envelope
+from . import montecarlo as _mc
 from . import solver as _solver
 from .core import (
     UNIFORM_RATE_CUTOFF,
@@ -368,6 +370,14 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # ---------------------------------------------------------------------------
 # Report assembly.
 
+# A halving's fine report runs in a worker only when its M2 solve has at
+# least 2 * _MIN_PANELS_PER_WORKER product panels.  The parent's coarse solve,
+# half as many panels at 2-3 us each, then overlaps the worker for 20-30 ms
+# or more: two to four times the 6-10 ms a Pool(1) takes to start, run one
+# task and stop (measured on a 2-CPU Xeon with Python 3.11).
+_MIN_PANELS_PER_WORKER = 10_000
+
+
 def constants_report(
     lam: float,
     horizon_n: int = 7,
@@ -380,6 +390,14 @@ def constants_report(
     horizon_n = 0 skips solving entirely and uses pure step-bound tails
     (only the crude method exists there).  Horizons 1 and 2 are rejected:
     the seeds already cover [0, 3], so nothing shorter is ever solved.
+
+    with_halving_delta also reports at about m/2 and returns the m report
+    with ``quadrature_halving_delta``, the largest endpoint change.  When
+    ``_pooled_halving`` says so (a large enough M2 solve and PARKLAB_THREADS
+    not 1), the m report is solved in a one-worker pool while this process
+    solves the coarse one.  The results are the same either way, and so are
+    the errors: the coarse report raises first, and a fine-only DomainError
+    comes back from the worker unchanged.
     """
     if tail_method not in ("crude", "envelope"):
         raise DomainError(f"unknown tail method {tail_method!r}")
@@ -391,8 +409,15 @@ def constants_report(
 
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
-        coarse = constants_report(lam, horizon_n, half_m, tail_method)
-        fine = constants_report(lam, horizon_n, resolution_m, tail_method)
+        if not _pooled_halving(lam, horizon_n, resolution_m):
+            coarse = constants_report(lam, horizon_n, half_m, tail_method)
+            fine = constants_report(lam, horizon_n, resolution_m, tail_method)
+        else:
+            with multiprocessing.Pool(1, initializer=_mc._default_sigterm) as pool:
+                pending = pool.apply_async(constants_report,
+                                           (lam, horizon_n, resolution_m, tail_method))
+                coarse = constants_report(lam, horizon_n, half_m, tail_method)
+                fine = pending.get()
         delta = max(abs(a - b) for a, b in zip(fine.endpoints, coarse.endpoints))
         return dataclasses.replace(fine, quadrature_halving_delta=delta)
 
@@ -419,6 +444,20 @@ def constants_report(
         tail2 = envelope_second_moment_tail(lam, n, mean_at_n, env_inf, env_sup)
     return ConstantsReport(lam, n, resolution_m, tail_method,
                            *_brackets(lam, m_grid, m2_grid, tail, xtail, tail2), env_inf, env_sup)
+
+
+def _pooled_halving(lam: float, horizon_n: int, resolution_m: int) -> bool:
+    """Whether a halving solves its fine report in a worker process.
+
+    The work is the fine report's M2 product panels, m*((n-1)^2-1), or none
+    when it solves no M2; the worker starts when ``_resolve_workers`` gives
+    that work two processes.  A daemonic process (a pool worker) may start
+    no children, so it keeps the halving inline.
+    """
+    if horizon_n == 0 or lam < UNIFORM_RATE_CUTOFF or multiprocessing.current_process().daemon:
+        return False
+    panels = resolution_m * ((horizon_n - 1) ** 2 - 1)
+    return _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) >= 2
 
 
 def _uniform_fallback_report(lam: float, horizon_n: int, resolution_m: int) -> ConstantsReport:

@@ -163,7 +163,16 @@ def _default_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def _resolve_workers(threads: int | None, trials: int) -> int:
+def _resolve_workers(threads: int | None, work: int,
+                     min_work_per_worker: int = _MIN_TRIALS_PER_WORKER) -> int:
+    """Worker processes for ``work`` units, each worker taking at least
+    ``min_work_per_worker`` of them; at least 1.
+
+    threads caps the count: None reads PARKLAB_THREADS, 0 means one per CPU
+    this process may run on (its affinity mask where the platform has one).
+    The simulator counts trials (the default minimum is its own) and the
+    halving delta counts the fine report's M2 product panels.
+    """
     if threads is None:
         raw = os.environ.get(THREADS_ENV_VAR, "0")
         try:
@@ -173,8 +182,9 @@ def _resolve_workers(threads: int | None, trials: int) -> int:
     if threads < 0:
         raise DomainError(f"thread count must be >= 0, got {threads}")
     if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, min(threads, trials // _MIN_TRIALS_PER_WORKER or 1))
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    return max(1, min(threads, work // min_work_per_worker or 1))
 
 
 def _jobs(config: SimConfig, workers: int) -> list[tuple[float, float, int, int, int, int]]:
@@ -227,7 +237,7 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     """Simulate config.trials independent saturations and summarize them.
 
     threads: worker processes; None reads PARKLAB_THREADS, 0 means one per
-    CPU.  Workers take whole batches of trials.  The summary is
+    usable CPU.  Workers take whole batches of trials.  The summary is
     bit-identical for any worker count because each batch's stream depends
     only on (seed, batch index), the batches are fixed by config.trials and
     the batch-size rule, and the reduction is exact integer arithmetic.

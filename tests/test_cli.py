@@ -4,13 +4,20 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import parklab
+import parklab.constants
 import parklab.solver
-from parklab import SegmentedGrid, mean_closed
+from parklab import DomainError, SegmentedGrid, mean_closed
 from parklab.cli import main
 
 
@@ -129,6 +136,88 @@ class TestConstants:
         with pytest.raises(SystemExit) as exc:
             main(["constants", "--lambda", "1", "--n", "2"])
         assert exc.value.code == 2
+
+
+class TestPooledHalving:
+    # m*((n-1)^2-1) = 30720 product panels: with two workers allowed, the
+    # fine report is solved in a worker
+    ARGV = ("constants", "--lambda", "1", "--n", "12", "--m", "256")
+
+    def _at(self, monkeypatch, capsys, threads, *argv):
+        monkeypatch.setenv("PARKLAB_THREADS", threads)
+        return run_cli(capsys, *argv)
+
+    def test_same_json_at_one_and_two_workers(self, monkeypatch, made_pools, capsys):
+        inline = self._at(monkeypatch, capsys, "1", *self.ARGV)
+        assert made_pools == []
+        assert self._at(monkeypatch, capsys, "2", *self.ARGV) == inline
+        assert len(made_pools) == 1
+        assert inline[0] == 0 and json.loads(inline[1])["quadrature_halving_delta"] > 0
+
+    def test_coarse_failure_same_error_at_one_and_two_workers(self, monkeypatch, capsys):
+        argv = ("constants", "--lambda", "300", "--n", "12", "--m", "256")
+        inline = self._at(monkeypatch, capsys, "1", *argv)
+        assert inline[0] == 2 and inline[1] == ""
+        assert "lam=300 with m=128" in inline[2]
+        assert self._at(monkeypatch, capsys, "2", *argv) == inline
+
+    def test_fine_failure_in_the_worker_exits_2(self, monkeypatch, made_pools, capsys):
+        original = parklab.constants._mean_grids
+
+        def failing_at_fine_m(params):
+            if params.resolution_m == 256:
+                raise DomainError(f"fine report failed in process {os.getpid()}")
+            return original(params)
+
+        monkeypatch.setattr(parklab.constants, "_mean_grids", failing_at_fine_m)
+        code, out, err = self._at(monkeypatch, capsys, "2", *self.ARGV)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: fine report failed in process ")
+        assert err != f"error: fine report failed in process {os.getpid()}\n"
+        assert len(made_pools) == 1
+
+
+# A process that installs a raising SIGTERM handler, as a harness might, then
+# runs a long pooled halving.  The worker announces itself when it starts the
+# fine report's M2 solve.
+_SIGTERM_CHILD = """
+import multiprocessing
+import os
+import signal
+from parklab import cli, solver
+
+def _raise(signum, frame):
+    raise RuntimeError("terminated")
+
+def _announce(params, m_grid):
+    if multiprocessing.current_process().daemon:
+        os.write(1, b"started\\n")
+    return solve(params, m_grid)
+
+solve, solver.solve_second_moment = solver.solve_second_moment, _announce
+signal.signal(signal.SIGTERM, _raise)
+cli.main(["constants", "--lambda", "1", "--n", "40", "--m", "512"])
+"""
+
+
+def test_sigterm_during_a_pooled_halving_exits():
+    src = str(Path(parklab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PARKLAB_THREADS": "2"}
+    proc = subprocess.Popen([sys.executable, "-c", _SIGTERM_CHILD], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        assert proc.stdout.readline().strip() == "started"
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert "RuntimeError: terminated" in err
+    with pytest.raises(ProcessLookupError):  # the worker went with it
+        os.killpg(proc.pid, 0)
 
 
 class TestSweep:

@@ -1,6 +1,9 @@
 """Tail bounds and constant brackets against series and quadrature oracles."""
 
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -401,3 +404,63 @@ class TestSharedGrids:
         constants_report(1.0, 7, 64, "crude")
         constants_report(1.0, 7, 64, "crude")
         assert dict(solved) == {Params(1.0, 7, 64): 2}
+
+
+class TestPooledHalving:
+    """The halving's fine report in a worker: same reports, same errors."""
+
+    POOLED = (1.0, 12, 256, "crude")  # 30720 panels, enough for the worker
+
+    def test_reports_equal_at_one_and_two_workers(self, monkeypatch, made_pools):
+        monkeypatch.setenv("PARKLAB_THREADS", "1")
+        inline = constants_report(*self.POOLED, with_halving_delta=True)
+        assert made_pools == []
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        assert constants_report(*self.POOLED, with_halving_delta=True) == inline
+        assert len(made_pools) == 1
+        assert inline.quadrature_halving_delta is not None
+
+    @pytest.mark.parametrize("n, m, pools", [(7, 8, 0), (7, 256, 0), (12, 64, 0), (10, 256, 1)])
+    def test_worker_starts_only_above_the_rules_minimum(self, monkeypatch, made_pools, n, m, pools):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        assert (m * ((n - 1) ** 2 - 1) >= 2 * constants._MIN_PANELS_PER_WORKER) == bool(pools)
+        constants_report(1.0, n, m, "crude", with_halving_delta=True)
+        assert len(made_pools) == pools
+
+    def test_no_worker_without_a_second_moment_solve(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        assert not constants._pooled_halving(1e-7, 30, 256)  # uniform fallback
+        assert not constants._pooled_halving(1.0, 0, 256)
+        assert constants._pooled_halving(1.0, 30, 256)
+
+    def test_a_pool_worker_keeps_the_halving_inline(self):
+        with multiprocessing.Pool(1) as pool:
+            in_worker = pool.apply(constants_report, self.POOLED, {"with_halving_delta": True})
+        assert in_worker == constants_report(*self.POOLED, with_halving_delta=True)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_coarse_failure_raises_first(self, monkeypatch, made_pools, threads):
+        # lam=300 leaves the counting bounds at m=128, the coarse resolution
+        monkeypatch.setenv("PARKLAB_THREADS", threads)
+        with pytest.raises(DomainError, match="lam=300 with m=128"):
+            constants_report(300.0, 12, 256, with_halving_delta=True)
+        assert len(made_pools) == (threads == "2")
+        for pool in made_pools:  # the worker is gone once the coarse error leaves
+            assert pool._state == multiprocessing.pool.TERMINATE
+            assert all(worker.exitcode is not None for worker in pool._pool)
+
+    def test_fine_failure_in_the_worker_comes_back_unchanged(self, monkeypatch, made_pools):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        parent = os.getpid()
+        original = constants._mean_grids
+
+        def failing_at_fine_m(params):
+            if params.resolution_m == 256:
+                raise DomainError(f"fine report failed in process {os.getpid()}")
+            return original(params)
+
+        monkeypatch.setattr(constants, "_mean_grids", failing_at_fine_m)
+        with pytest.raises(DomainError, match="fine report failed in process") as exc:
+            constants_report(*self.POOLED, with_halving_delta=True)
+        assert str(exc.value) != f"fine report failed in process {parent}"
+        assert len(made_pools) == 1

@@ -137,6 +137,23 @@ class TestRunMc:
         serial = run_mc(cfg, threads=1)
         assert serial == run_mc(cfg, threads=2) == run_mc(cfg, threads=3)
 
+    def test_worker_rule_gives_each_worker_its_minimum_work(self):
+        assert _resolve_workers(3, 5000, 1000) == 3
+        assert _resolve_workers(3, 2999, 1000) == 2
+        assert _resolve_workers(3, 1999, 1000) == 1
+        assert _resolve_workers(3, 0, 1000) == 1
+        assert _resolve_workers(1, 10**9, 1000) == 1
+
+    def test_unset_threads_use_the_cpus_this_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("PARKLAB_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _resolve_workers(None, 10**9) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _resolve_workers(0, 10**9) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_workers(0, 10**9) == 64
+
     def test_degenerate_length(self):
         stats = run_mc(SimConfig(1.0, 1.7, 100, seed=1))
         assert stats.mean == 1.0
@@ -205,44 +222,31 @@ class TestStartedRuns:
     A = SimConfig(1.0, 20.0, 5000, seed=41)
     B = SimConfig(0.5, 40.0, 4500, seed=42)
 
-    @staticmethod
-    def _pools(monkeypatch) -> list:
-        """Every pool constructed from here on."""
-        made = []
-        real = multiprocessing.Pool
-
-        def counting(*args, **kwargs):
-            made.append(real(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(multiprocessing, "Pool", counting)
-        return made
-
     @pytest.mark.parametrize("threads, pools", [("1", 0), ("2", 1)])
-    def test_started_runs_equal_plain_runs_from_one_pool(self, monkeypatch, threads, pools):
+    def test_started_runs_equal_plain_runs_from_one_pool(self, monkeypatch, made_pools,
+                                                         threads, pools):
         monkeypatch.setenv("PARKLAB_THREADS", threads)
         plain = [run_mc(self.A), run_mc(self.B)]
-        made = self._pools(monkeypatch)
+        made_pools.clear()
         with _started_runs([self.A, self.B]):
             assert [run_mc(self.A), run_mc(self.B)] == plain
         # one resolved worker: nothing is started and both run in-process
-        assert len(made) == pools
+        assert len(made_pools) == pools
 
-    def test_a_config_not_started_runs_as_before(self, monkeypatch):
+    def test_a_config_not_started_runs_as_before(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         plain = run_mc(self.B)
-        made = self._pools(monkeypatch)
+        made_pools.clear()
         with _started_runs([self.A]):
             assert run_mc(self.B) == plain
-            assert len(made) == 2  # the block's pool, then B's own
+            assert len(made_pools) == 2  # the block's pool, then B's own
 
-    def test_pool_is_terminated_when_the_block_raises(self, monkeypatch):
+    def test_pool_is_terminated_when_the_block_raises(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
-        made = self._pools(monkeypatch)
         with pytest.raises(KeyError):
             with _started_runs([self.A, self.B]):
                 raise KeyError("a criterion failed")
-        pool, = made
+        pool, = made_pools
         assert pool._state == multiprocessing.pool.TERMINATE
         assert all(worker.exitcode is not None for worker in pool._pool)
         assert montecarlo._STARTED.get() is None
