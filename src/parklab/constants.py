@@ -371,10 +371,10 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # Report assembly.
 
 # A halving's fine report runs in a worker only when its M2 solve has at
-# least 2 * _MIN_PANELS_PER_WORKER product panels.  The parent's coarse solve,
-# half as many panels at 2-3 us each, then overlaps the worker for 20-30 ms
-# or more: two to four times the 6-10 ms a Pool(1) takes to start, run one
-# task and stop (measured on a 2-CPU Xeon with Python 3.11).
+# least 2 * _MIN_PANELS_PER_WORKER product panels.  The parent's coarse report,
+# half as many panels at 1.5-2 us each, then overlaps the worker for 20 ms or
+# more (16-23 ms at n=10, m=128): twice the 9-12 ms a Pool(1) takes to start,
+# run one task and stop (quartiles of 41 runs on a 2-CPU Xeon with Python 3.11).
 _MIN_PANELS_PER_WORKER = 10_000
 
 

@@ -1,6 +1,7 @@
 """Quadrature and method-of-steps solvers against independent oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,7 +329,14 @@ class TestSolveSecondMoment:
 def _product_node_reference(mvals, lam, s, j):
     """The product convolution at x = s + j/m, node by node and panel by
     panel with a freshly interpolated midpoint for each single-subinterval
-    panel: the solver's arithmetic before the grid was built at once."""
+    panel: the solver's arithmetic before the grid was built at once.
+
+    It recomputes the midpoint's offset into segment s - i as
+    (x - t_mid - seg_b) * m in floating point, where the solver uses 0.5 or
+    m - 0.5 exactly.  At some m (6, 12 and 14 among them) that offset is off
+    by an ulp, and the j = 1 or j = m - 1 value by about 2e-16 relative, so
+    it matches the solver bit for bit only at the m it is tested on.
+    """
     n, m = mvals.shape[0], mvals.shape[1] - 1
     h = 1.0 / m
     node_w = lam * np.exp(-lam * (np.arange(n)[:, None] + np.arange(m + 1) * (1.0 / m)))
@@ -353,6 +361,43 @@ def _product_node_reference(mvals, lam, s, j):
     return total
 
 
+def _product_grid_loop(mvals, lam):
+    """The product convolution grid panel by panel: one multiply and one
+    quadrature per panel, each node summing head i, tail i, head i+1, ...
+    The solver's loop before it formed its panel samples in row blocks."""
+    n, m = mvals.shape[0], mvals.shape[1] - 1
+    h = 1.0 / m
+    wm = lam * np.exp(-lam * (np.arange(n)[:, None] + np.arange(m + 1) * (1.0 / m))) * mvals
+    rev = mvals[:, ::-1]
+    mid = [_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals]
+    wmid = [(lam * math.exp(-lam * (i + 0.5 * h)) * a,
+             lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)]
+
+    def panel(fv, f_mid):
+        if fv.size > 2:
+            return h * float(fv.dot(_panel_weights(fv.size - 1)))
+        return h * (fv[0] + 4.0 * f_mid + fv[1]) / 6.0
+
+    prod = np.zeros((n, m + 1))
+    for j in range(m + 1):
+        for s in range(1, n - 1):
+            total = 0.0
+            for i in range(s + 1):
+                if j > 0:
+                    f_mid = wmid[i][0] * mid[s - i][0] if j == 1 else None
+                    total += panel(wm[i, :j + 1] * rev[s - i, m - j:], f_mid)
+                if j < m and i < s:
+                    f_mid = wmid[i][1] * mid[s - i - 1][1] if j == m - 1 else None
+                    total += panel(wm[i, j:] * rev[s - i - 1, :m - j + 1], f_mid)
+            prod[s, j] = total
+    return prod
+
+
+def _smooth_rows(n, m):
+    x = np.arange(n)[:, None] + np.arange(m + 1) / m
+    return 1.0 + 0.6 * x + 0.1 * np.sin(3.0 * x)
+
+
 class TestProductGrid:
     @pytest.mark.parametrize("lam", [0.5, 5.0])
     @pytest.mark.parametrize("m", [4, 64])
@@ -368,12 +413,46 @@ class TestProductGrid:
     @pytest.mark.parametrize("lam,n,m", [(1.0, 7, 8), (0.5, 10, 16), (5.0, 7, 4), (1.0, 5, 2)])
     def test_matches_node_by_node_reference_bit_for_bit(self, lam, n, m):
         # any smooth rows will do, and solve_mean rejects lam=5 at m=4
-        x = np.arange(n)[:, None] + np.arange(m + 1) / m
-        mvals = 1.0 + 0.6 * x + 0.1 * np.sin(3.0 * x)
+        mvals = _smooth_rows(n, m)
         prod = _product_grid(mvals, lam)
         ref = [[_product_node_reference(mvals, lam, s, j) for j in range(m + 1)]
                for s in range(1, n - 1)]
         assert np.array_equal(prod[1:n - 1], np.array(ref))
+
+    @pytest.mark.parametrize("lam,n,m", [(2.0, 12, 6), (1.0, 7, 6)])
+    def test_matches_node_by_node_reference_to_an_ulp_at_m6(self, lam, n, m):
+        # the reference's recomputed midpoint offset is an ulp off here
+        mvals = _smooth_rows(n, m)
+        prod = _product_grid(mvals, lam)
+        ref = [[_product_node_reference(mvals, lam, s, j) for j in range(m + 1)]
+               for s in range(1, n - 1)]
+        np.testing.assert_allclose(prod[1:n - 1], np.array(ref), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("lam,n,m", [
+        (1.0, 7, 8), (5.0, 7, 4), (1.0, 5, 2),  # 3/8 panels at odd j; m = 2
+        (2.0, 12, 6), (0.3, 16, 10),  # m not a power of two
+        (1.0, 16, 64), (1.0, 7, 256),
+        (1.0, 20, 100),  # three row blocks, the last one short
+        (1.0, 5, 2048),  # one node row per block
+    ])
+    def test_matches_panel_loop_bit_for_bit(self, lam, n, m):
+        mvals = _smooth_rows(n, m)
+        assert np.array_equal(_product_grid(mvals, lam), _product_grid_loop(mvals, lam))
+
+    def test_peak_memory_is_bounded_by_the_row_blocks(self):
+        # At n=26, m=36 the row blocks peak at about 0.39 MB traced and the
+        # panel loop at 0.04 MB.  The same kernel with all 24 node rows in one
+        # block peaks at about 0.61 MB, and gathering the rows of every pair
+        # for one 2-D multiply per j at about 0.71 MB: either would show in
+        # the benchmark's peak RSS.
+        mvals = _smooth_rows(26, 36)
+        tracemalloc.start()
+        try:
+            _product_grid(mvals, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
 
 
 class TestSolveUniform:
@@ -395,6 +474,24 @@ class TestSolveUniform:
         lo, hi = window_extrema(g, 16)
         assert hi - lo < 1e-5
         assert 0.5 * (lo + hi) == pytest.approx(0.748, abs=5e-4)
+
+    def test_window_converges_to_renyi_constant_at_fourth_order(self):
+        # c_R = integral over t > 0 of exp(-2 Ein(t)), with
+        # Ein(t) = E1(t) + ln t + Euler's gamma (Renyi 1958)
+        mpmath = pytest.importorskip("mpmath")
+        from parklab import window_extrema
+
+        with mpmath.workdps(30):
+            def ein(t):
+                return mpmath.e1(t) + mpmath.log(t) + mpmath.euler
+            c_r = float(mpmath.quad(lambda t: mpmath.exp(-2 * ein(t)), [0, 1, mpmath.inf]))
+        assert c_r == pytest.approx(0.7475979202534114, rel=1e-15)
+        errs = []
+        for m in (64, 128, 256):
+            lo, hi = window_extrema(solve_uniform_mean_derivative(16, m), 16)
+            errs.append(abs(0.5 * (lo + hi) - c_r))
+        assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0
+        assert errs[2] <= 5e-11
 
     def test_validation(self):
         with pytest.raises(DomainError):
