@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_validate(args) -> int:
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
             results = _validation.run_checks(quick=args.quick, criteria=criteria)

@@ -370,11 +370,11 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # ---------------------------------------------------------------------------
 # Report assembly.
 
-# A halving's fine report runs in a worker only when its M2 solve has at
-# least 2 * _MIN_PANELS_PER_WORKER product panels.  The parent's coarse report,
-# half as many panels at 1.5-2 us each, then overlaps the worker for 20 ms or
-# more (16-23 ms at n=10, m=128): twice the 9-12 ms a Pool(1) takes to start,
-# run one task and stop (quartiles of 41 runs on a 2-CPU Xeon with Python 3.11).
+# A halving starts a worker, which builds three quarters of the fine M2 product
+# grid, only when that grid has at least 2 * _MIN_PANELS_PER_WORKER panels.  The
+# parent's coarse report alone, half as many panels at 1.5-2 us each, overlaps it
+# for 20 ms or more (16-23 ms at n=10, m=128): twice the 9-12 ms a Pool(1) takes
+# to start, run one task and stop (quartiles of 41 runs, 2-CPU Xeon, Python 3.11).
 _MIN_PANELS_PER_WORKER = 10_000
 
 
@@ -394,10 +394,11 @@ def constants_report(
     with_halving_delta also reports at about m/2 and returns the m report
     with ``quadrature_halving_delta``, the largest endpoint change.  When
     ``_pooled_halving`` says so (a large enough M2 solve and PARKLAB_THREADS
-    not 1), the m report is solved in a one-worker pool while this process
-    solves the coarse one.  The results are the same either way, and so are
-    the errors: the coarse report raises first, and a fine-only DomainError
-    comes back from the worker unchanged.
+    not 1), a one-worker pool builds rows 1..k-1 of the m report's product
+    grid (``_split_row``) while this process solves the coarse report, then
+    the m report's mean, rows k..n-2 and second moment.  The results are the
+    same either way, and so are the errors: the coarse report raises first,
+    and a DomainError raised in the worker comes back unchanged.
     """
     if tail_method not in ("crude", "envelope"):
         raise DomainError(f"unknown tail method {tail_method!r}")
@@ -413,11 +414,15 @@ def constants_report(
             coarse = constants_report(lam, horizon_n, half_m, tail_method)
             fine = constants_report(lam, horizon_n, resolution_m, tail_method)
         else:
+            params, k = Params(lam, horizon_n, resolution_m), _split_row(horizon_n)
             with multiprocessing.Pool(1, initializer=_mc._default_sigterm) as pool:
-                pending = pool.apply_async(constants_report,
-                                           (lam, horizon_n, resolution_m, tail_method))
+                pending = pool.apply_async(_fine_rows, (params, k))
                 coarse = constants_report(lam, horizon_n, half_m, tail_method)
-                fine = pending.get()
+                m_grid = _solver.solve_mean(params)
+                prod = _solver._product_grid(m_grid.values, lam, (k, horizon_n - 1))
+                prod += pending.get()
+            fine = _report(params, tail_method, m_grid,
+                           _solver._march_second_moment(params, m_grid, prod))
         delta = max(abs(a - b) for a, b in zip(fine.endpoints, coarse.endpoints))
         return dataclasses.replace(fine, quadrature_halving_delta=delta)
 
@@ -428,8 +433,13 @@ def constants_report(
         return ConstantsReport(lam, 0, resolution_m, "crude", *_step_bound_brackets(lam))
 
     params = Params(lam, horizon_n, resolution_m)
-    m_grid, m2_grid = _mean_grids(params)
-    n = horizon_n
+    return _report(params, tail_method, *_mean_grids(params))
+
+
+def _report(params: Params, tail_method: str, m_grid: SegmentedGrid,
+            m2_grid: SegmentedGrid) -> ConstantsReport:
+    """The rated report on solved mean and second-moment grids."""
+    lam, n = params.lam, params.horizon_n
     if tail_method == "crude":
         tail = crude_mean_tail(lam, n)
         xtail = crude_xmean_tail(lam, n)
@@ -442,12 +452,27 @@ def constants_report(
         tail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=0)
         xtail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=1)
         tail2 = envelope_second_moment_tail(lam, n, mean_at_n, env_inf, env_sup)
-    return ConstantsReport(lam, n, resolution_m, tail_method,
+    return ConstantsReport(lam, n, params.resolution_m, tail_method,
                            *_brackets(lam, m_grid, m2_grid, tail, xtail, tail2), env_inf, env_sup)
 
 
+def _split_row(horizon_n: int) -> int:
+    """First fine product-grid row that the parent builds in a pooled halving.
+
+    The largest k with 4*(k^2-1) <= 3*((n-1)^2-1): rows k..n-2 are the fewest
+    top rows with a quarter of the fine panels, so with the coarse report's
+    half the parent does about as much as the worker's rows 1..k-1.
+    """
+    return math.isqrt(3 * ((horizon_n - 1) ** 2 - 1) // 4 + 1)
+
+
+def _fine_rows(params: Params, k: int) -> np.ndarray:
+    """The worker's task in a pooled halving: rows 1..k-1 of the fine product grid."""
+    return _solver._product_grid(_solver.solve_mean(params).values, params.lam, (1, k))
+
+
 def _pooled_halving(lam: float, horizon_n: int, resolution_m: int) -> bool:
-    """Whether a halving solves its fine report in a worker process.
+    """Whether a halving shares its fine product grid with a worker process.
 
     The work is the fine report's M2 product panels, m*((n-1)^2-1), or none
     when it solves no M2; the worker starts when ``_resolve_workers`` gives

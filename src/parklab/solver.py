@@ -73,7 +73,6 @@ def _cumulative(vals: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def _panel_weights(n_sub: int) -> np.ndarray:
     """Composite Simpson weights for n_sub >= 2 unit-spaced subintervals.
 
@@ -90,6 +89,12 @@ def _panel_weights(n_sub: int) -> np.ndarray:
         w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
     w.setflags(write=False)
     return w
+
+
+@lru_cache(maxsize=4)  # about 4*m^2 bytes each; validate's and the halving's 128, 256, 512 stay
+def _panel_weight_table(m: int) -> tuple:
+    """_panel_weights(j) at entry j = 2..m; entries 0 and 1 are None."""
+    return (None, None, *map(_panel_weights, range(2, m + 1)))
 
 
 def integrate_weighted(
@@ -336,11 +341,15 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
             or m_grid.resolution_m != params.resolution_m):
         raise DomainError("m_grid was solved with different parameters")
 
+    return _march_second_moment(params, m_grid, _product_grid(m_grid.values, params.lam))
+
+
+def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray) -> SegmentedGrid:
+    """Step the second moment on the mean ``m_grid``, given its product grid."""
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     mvals = m_grid.values
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
-    prod = _product_grid(mvals, lam)
 
     def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
         own = ints[0] + ints[1]
@@ -351,11 +360,14 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
     return SegmentedGrid("M2", vals, lam=lam)
 
 
-def _product_grid(mvals: np.ndarray, lam: float) -> np.ndarray:
+def _product_grid(mvals: np.ndarray, lam: float, rows: tuple[int, int] | None = None) -> np.ndarray:
     """Integral of lam*e^{-lam t} * f(t) * f(x-t) over [0, x] at every node.
 
     Row s holds the nodes x = s + j*h of segment s, for the segments
-    s = 1..n-2 that the march closes; rows 0 and n-1 stay zero.  Between
+    s = 1..n-2 that the march closes; rows 0 and n-1 stay zero, and so do
+    all but rows lo..hi-1 given ``rows = (lo, hi)``.  Row s holds m*(2s+1)
+    panels, and grids over disjoint ranges add up to the full grid bit for
+    bit, as in a pooled halving (one range per process).  Between
     consecutive breakpoints (integers and their mirror images x - i) both
     factors stay inside single segments and their samples are reversed
     slices of each other, so every panel works on exact node values.  The
@@ -381,23 +393,24 @@ def _product_grid(mvals: np.ndarray, lam: float) -> np.ndarray:
     mid = [_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals]
     wmid = [(lam * math.exp(-lam * (i + 0.5 * h)) * a,
              lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)]
-    weights = [None, None, *map(_panel_weights, range(2, m + 1))]
+    weights = _panel_weight_table(m)
+    lo, hi = rows or (1, n - 1)
     prod = np.zeros((n, m + 1))
     # node rows per block: at least one, and no more than keep each buffer within 128 KB
     step = max(1, min(n - 2, (1 << 17) // (8 * (m + 1) * (n - 1))))
     hbuf, tbuf = np.empty((2, step * (n - 1), m + 1))
-    for s0 in range(1, n - 1, step):
-        rows = range(s0, min(s0 + step, n - 1))
+    for s0 in range(lo, hi, step):
+        block = range(s0, min(s0 + step, hi))
         # row s's head panels fill rows a.. of hbuf, its tail panels rows b.. of
         # tbuf; order holds their places in heads + tails in summation order
-        parts, order, a, b, n_heads = [], [], 0, 0, sum(rows) + len(rows)
-        for s in rows:
+        parts, order, a, b, n_heads = [], [], 0, 0, sum(block) + len(block)
+        for s in block:
             parts.append((hbuf[a:a + s + 1].ravel(), tbuf[b:b + s].ravel(), (n - 1 - s) * (m + 1)))
             order += [k for i in range(s) for k in (a + i, n_heads + b + i)] + [a + s]
             a, b = a + s + 1, b + s
         pick = itemgetter(*order)
-        head_mid = [wmid[i][0] * mid[s - i][0] for s in rows for i in range(s + 1)]
-        tail_mid = [wmid[i][1] * mid[s - i - 1][1] for s in rows for i in range(s)]
+        head_mid = [wmid[i][0] * mid[s - i][0] for s in block for i in range(s + 1)]
+        tail_mid = [wmid[i][1] * mid[s - i - 1][1] for s in block for i in range(s)]
         for j in range(m + 1):
             for hout, tout, at in parts:  # wm[i] meets back[n-1-s+i] in heads, back[n-s+i] in tails
                 k, kt = hout.size - m + j, tout.size - j
@@ -408,7 +421,7 @@ def _product_grid(mvals: np.ndarray, lam: float) -> np.ndarray:
             ws = ((head_mid if j == 1 else [weights[j]] * len(heads))
                   + (tail_mid if j == m - 1 else [weights[m - j]] * len(tails)))
             panels = zip(pick(heads + tails), pick(ws)) if heads and tails else zip(heads + tails, ws)
-            for s in rows:
+            for s in block:
                 total = 0.0
                 for fv, w in islice(panels, (s + 1 if j > 0 else 0) + (s if j < m else 0)):
                     total += _product_panel(fv, w, h)

@@ -266,6 +266,8 @@ def run_checks(
     and run while the criteria before them do.
     """
     selected = sorted(set(criteria)) if criteria is not None else sorted(CRITERIA)
+    if not selected:
+        raise ValueError("no criteria selected")
     unknown = [c for c in selected if c not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria: {unknown}")

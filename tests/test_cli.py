@@ -1,9 +1,11 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import functools
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import signal
@@ -162,14 +164,15 @@ class TestPooledHalving:
         assert self._at(monkeypatch, capsys, "2", *argv) == inline
 
     def test_fine_failure_in_the_worker_exits_2(self, monkeypatch, made_pools, capsys):
-        original = parklab.constants._mean_grids
+        original = parklab.constants._fine_rows
 
-        def failing_at_fine_m(params):
-            if params.resolution_m == 256:
+        @functools.wraps(original)  # the pool pickles the task by the original's name
+        def failing_in_a_worker(params, k):
+            if multiprocessing.current_process().daemon:
                 raise DomainError(f"fine report failed in process {os.getpid()}")
-            return original(params)
+            return original(params, k)
 
-        monkeypatch.setattr(parklab.constants, "_mean_grids", failing_at_fine_m)
+        monkeypatch.setattr(parklab.constants, "_fine_rows", failing_in_a_worker)
         code, out, err = self._at(monkeypatch, capsys, "2", *self.ARGV)
         assert (code, out) == (2, "")
         assert err.startswith("error: fine report failed in process ")
@@ -178,23 +181,23 @@ class TestPooledHalving:
 
 
 # A process that installs a raising SIGTERM handler, as a harness might, then
-# runs a long pooled halving.  The worker announces itself when it starts the
-# fine report's M2 solve.
+# runs a long pooled halving.  The worker announces itself when it starts its
+# rows of the fine report's product grid.
 _SIGTERM_CHILD = """
 import multiprocessing
 import os
 import signal
-from parklab import cli, solver
+from parklab import cli, constants
 
 def _raise(signum, frame):
     raise RuntimeError("terminated")
 
-def _announce(params, m_grid):
+def _announce(params, k):
     if multiprocessing.current_process().daemon:
         os.write(1, b"started\\n")
-    return solve(params, m_grid)
+    return fine_rows(params, k)
 
-solve, solver.solve_second_moment = solver.solve_second_moment, _announce
+fine_rows, constants._fine_rows = constants._fine_rows, _announce
 signal.signal(signal.SIGTERM, _raise)
 cli.main(["constants", "--lambda", "1", "--n", "40", "--m", "512"])
 """
@@ -310,6 +313,12 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--criteria", "2")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("criteria", [",", ""])
+    def test_empty_criteria_selection_rejected(self, capsys, criteria):
+        code, out, err = run_cli(capsys, "validate", "--criteria", criteria)
+        assert (code, out) == (2, "")
+        assert err == "error: no criteria selected\n"
 
     def test_unknown_criterion_rejected(self, capsys):
         code, _, err = run_cli(capsys, "validate", "--criteria", "99")

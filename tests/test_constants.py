@@ -1,5 +1,6 @@
 """Tail bounds and constant brackets against series and quadrature oracles."""
 
+import functools
 import math
 import multiprocessing
 import multiprocessing.pool
@@ -433,6 +434,15 @@ class TestPooledHalving:
         assert not constants._pooled_halving(1.0, 0, 256)
         assert constants._pooled_halving(1.0, 30, 256)
 
+    def test_split_gives_the_parent_the_fewest_top_rows_with_a_quarter(self):
+        for n in range(5, 41):
+            row_panels = {s: 2 * s + 1 for s in range(1, n - 1)}  # per unit of m
+            total = sum(row_panels.values())
+            top = lambda k: sum(p for s, p in row_panels.items() if s >= k)
+            k = constants._split_row(n)
+            assert 1 < k < n - 1
+            assert 4 * top(k) >= total > 4 * top(k + 1), n
+
     def test_a_pool_worker_keeps_the_halving_inline(self):
         with multiprocessing.Pool(1) as pool:
             in_worker = pool.apply(constants_report, self.POOLED, {"with_halving_delta": True})
@@ -452,14 +462,15 @@ class TestPooledHalving:
     def test_fine_failure_in_the_worker_comes_back_unchanged(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         parent = os.getpid()
-        original = constants._mean_grids
+        original = constants._fine_rows
 
-        def failing_at_fine_m(params):
-            if params.resolution_m == 256:
+        @functools.wraps(original)  # the pool pickles the task by the original's name
+        def failing_in_a_worker(params, k):
+            if multiprocessing.current_process().daemon:
                 raise DomainError(f"fine report failed in process {os.getpid()}")
-            return original(params)
+            return original(params, k)
 
-        monkeypatch.setattr(constants, "_mean_grids", failing_at_fine_m)
+        monkeypatch.setattr(constants, "_fine_rows", failing_in_a_worker)
         with pytest.raises(DomainError, match="fine report failed in process") as exc:
             constants_report(*self.POOLED, with_halving_delta=True)
         assert str(exc.value) != f"fine report failed in process {parent}"

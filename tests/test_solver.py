@@ -1,5 +1,6 @@
 """Quadrature and method-of-steps solvers against independent oracles."""
 
+import gc
 import math
 import tracemalloc
 import warnings
@@ -25,6 +26,7 @@ from parklab.core import (
     mean_derivative_closed,
     upper_count_bound,
 )
+from parklab import solver
 from parklab.solver import _max_rate, _panel_weights, _product_grid, integrate_weighted
 
 
@@ -438,6 +440,33 @@ class TestProductGrid:
     def test_matches_panel_loop_bit_for_bit(self, lam, n, m):
         mvals = _smooth_rows(n, m)
         assert np.array_equal(_product_grid(mvals, lam), _product_grid_loop(mvals, lam))
+
+    @pytest.mark.parametrize("n, m, cuts", [
+        (7, 8, (3,)), (7, 8, (2, 5)),  # one block of rows 1-5
+        (12, 256, (4, 9)), (12, 256, (6,)),  # blocks of 5 rows: 1-5, 6-10
+        (30, 64, (5, 13, 25)), (30, 64, (25,)),  # blocks of 8 rows from 1; 25 is the halving's split
+    ])
+    def test_row_ranges_add_up_to_the_full_grid(self, n, m, cuts):
+        mvals = _smooth_rows(n, m)
+        ends = (1, *cuts, n - 1)
+        pieces = [_product_grid(mvals, 1.0, (lo, hi)) for lo, hi in zip(ends, ends[1:])]
+        for lo, hi, piece in zip(ends, ends[1:], pieces):
+            assert not piece[:lo].any() and not piece[hi:].any()
+        assert np.array_equal(sum(pieces), _product_grid(mvals, 1.0))
+
+    def test_cached_weights_are_released_for_later_resolutions(self):
+        # one weight table per resolution, about 4*m^2 bytes: 17 MB at m=2048
+        solver._panel_weight_table.cache_clear()
+        tracemalloc.start()
+        try:
+            for m in (2048, 8, 16, 32, 64):
+                params = Params(1.0, 3, m)
+                solve_second_moment(params, solve_mean(params))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
 
     def test_peak_memory_is_bounded_by_the_row_blocks(self):
         # At n=26, m=36 the row blocks peak at about 0.39 MB traced and the
