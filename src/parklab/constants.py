@@ -26,7 +26,6 @@ import contextlib
 import contextvars
 import dataclasses
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -370,11 +369,11 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # ---------------------------------------------------------------------------
 # Report assembly.
 
-# A halving starts a worker, which builds three quarters of the fine M2 product
-# grid, only when that grid has at least 2 * _MIN_PANELS_PER_WORKER panels.  The
-# parent's coarse report alone, half as many panels at 1.5-2 us each, overlaps it
-# for 20 ms or more (16-23 ms at n=10, m=128): twice the 9-12 ms a Pool(1) takes
-# to start, run one task and stop (quartiles of 41 runs, 2-CPU Xeon, Python 3.11).
+# A halving pools when ``_resolve_workers`` gives the fine M2 grid's panels two
+# workers of _MIN_PANELS_PER_WORKER.  At that switch (n=10, m=128) the coarse
+# report took 16-23 ms against 9-12 ms for a Pool(1) round trip (quartiles of 41,
+# 2-CPU Xeon), yet (10, 256) and (12, 256) ran slower pooled in 20 and 21 of 21
+# pairs on a contended host.  `report`'s 215040 panels per grid are far above it.
 _MIN_PANELS_PER_WORKER = 10_000
 
 
@@ -393,8 +392,8 @@ def constants_report(
 
     with_halving_delta also reports at about m/2 and returns the m report
     with ``quadrature_halving_delta``, the largest endpoint change.  When
-    ``_pooled_halving`` says so (a large enough M2 solve and PARKLAB_THREADS
-    not 1), a one-worker pool builds rows 1..k-1 of the m report's product
+    ``_resolve_workers`` gives the m report's M2 product panels two workers
+    (never in a pool worker), a one-worker pool builds rows 1..k-1 of that
     grid (``_split_row``) while this process solves the coarse report, then
     the m report's mean, rows k..n-2 and second moment.  The results are the
     same either way, and so are the errors: the coarse report raises first,
@@ -410,12 +409,14 @@ def constants_report(
 
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
-        if not _pooled_halving(lam, horizon_n, resolution_m):
+        solves_m2 = horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF
+        panels = resolution_m * ((horizon_n - 1) ** 2 - 1) if solves_m2 else 0
+        if _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) == 1:
             coarse = constants_report(lam, horizon_n, half_m, tail_method)
             fine = constants_report(lam, horizon_n, resolution_m, tail_method)
         else:
             params, k = Params(lam, horizon_n, resolution_m), _split_row(horizon_n)
-            with multiprocessing.Pool(1, initializer=_mc._default_sigterm) as pool:
+            with _mc._pool(1) as pool:
                 pending = pool.apply_async(_fine_rows, (params, k))
                 coarse = constants_report(lam, horizon_n, half_m, tail_method)
                 m_grid = _solver.solve_mean(params)
@@ -469,20 +470,6 @@ def _split_row(horizon_n: int) -> int:
 def _fine_rows(params: Params, k: int) -> np.ndarray:
     """The worker's task in a pooled halving: rows 1..k-1 of the fine product grid."""
     return _solver._product_grid(_solver.solve_mean(params).values, params.lam, (1, k))
-
-
-def _pooled_halving(lam: float, horizon_n: int, resolution_m: int) -> bool:
-    """Whether a halving shares its fine product grid with a worker process.
-
-    The work is the fine report's M2 product panels, m*((n-1)^2-1), or none
-    when it solves no M2; the worker starts when ``_resolve_workers`` gives
-    that work two processes.  A daemonic process (a pool worker) may start
-    no children, so it keeps the halving inline.
-    """
-    if horizon_n == 0 or lam < UNIFORM_RATE_CUTOFF or multiprocessing.current_process().daemon:
-        return False
-    panels = resolution_m * ((horizon_n - 1) ** 2 - 1)
-    return _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) >= 2
 
 
 def _uniform_fallback_report(lam: float, horizon_n: int, resolution_m: int) -> ConstantsReport:

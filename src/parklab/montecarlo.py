@@ -168,11 +168,14 @@ def _resolve_workers(threads: int | None, work: int,
     """Worker processes for ``work`` units, each worker taking at least
     ``min_work_per_worker`` of them; at least 1.
 
-    threads caps the count: None reads PARKLAB_THREADS, 0 means one per CPU
-    this process may run on (its affinity mask where the platform has one).
-    The simulator counts trials (the default minimum is its own) and the
-    halving delta counts the fine report's M2 product panels.
+    The one rule for every pool parklab starts.  A pool worker (a daemonic
+    process, which may start no children) gets 1.  Else threads caps the
+    count: None reads PARKLAB_THREADS, 0 means one per CPU this process may
+    run on.  The simulator counts trials (the default minimum is its own) and
+    the halving delta counts the fine report's M2 product panels.
     """
+    if multiprocessing.current_process().daemon:
+        return 1
     if threads is None:
         raw = os.environ.get(THREADS_ENV_VAR, "0")
         try:
@@ -185,6 +188,11 @@ def _resolve_workers(threads: int | None, work: int,
         threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else os.cpu_count() or 1
     return max(1, min(threads, work // min_work_per_worker or 1))
+
+
+def _pool(workers: int) -> multiprocessing.pool.Pool:
+    """The one pool parklab builds: ``workers`` processes that SIGTERM kills."""
+    return multiprocessing.Pool(workers, initializer=_default_sigterm)
 
 
 def _jobs(config: SimConfig, workers: int) -> list[tuple[float, float, int, int, int, int]]:
@@ -203,21 +211,22 @@ _STARTED: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("_STAR
 
 
 @contextlib.contextmanager
-def _started_runs(configs: Iterable[SimConfig]) -> Iterator[None]:
+def _started_runs(configs: Iterable[SimConfig], threads: int | None = None) -> Iterator[None]:
     """Simulate ``configs`` in one background pool for the length of the block.
 
-    On entry every config's chunks are submitted, in order, to one pool of
-    the largest worker count ``_resolve_workers`` gives any of them; inside
-    the block ``run_mc`` on a started config waits for and summarizes its
-    chunks.  When every config resolves to one worker nothing is started.
-    The pool is terminated when the block exits, also on an exception.
+    The only pooled simulation path.  On entry every config's chunks are
+    submitted, in order, to one pool of the largest worker count
+    ``_resolve_workers`` gives any of them; inside the block ``run_mc`` on a
+    started config waits for and summarizes its chunks.  When every config
+    resolves to one worker nothing is started.  The pool is terminated when
+    the block exits, also on an exception.
     """
     configs = list(configs)
-    workers = [_resolve_workers(None, c.trials) for c in configs]
+    workers = [_resolve_workers(threads, c.trials) for c in configs]
     if max(workers, default=1) == 1:
         yield
         return
-    with multiprocessing.Pool(max(workers), initializer=_default_sigterm) as pool:
+    with _pool(max(workers)) as pool:
         token = _STARTED.set({c: (time.perf_counter(), pool.map_async(_simulate_chunk, _jobs(c, w)))
                               for c, w in zip(configs, workers)})
         try:
@@ -237,12 +246,12 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     """Simulate config.trials independent saturations and summarize them.
 
     threads: worker processes; None reads PARKLAB_THREADS, 0 means one per
-    usable CPU.  Workers take whole batches of trials.  The summary is
-    bit-identical for any worker count because each batch's stream depends
-    only on (seed, batch index), the batches are fixed by config.trials and
-    the batch-size rule, and the reduction is exact integer arithmetic.
-    Inside ``_started_runs`` a started config is not simulated again: its
-    background run is collected.
+    usable CPU, and a pool worker uses none.  Workers take whole batches of
+    trials.  The summary is bit-identical for any worker count because each
+    batch's stream depends only on (seed, batch index), the batches are fixed
+    by config.trials and the batch-size rule, and the reduction is exact
+    integer arithmetic.  A config started by ``_started_runs`` is collected,
+    not simulated again; one that needs workers is started and collected.
     """
     workers = _resolve_workers(threads, config.trials)
     run = (_STARTED.get() or {}).get(config)
@@ -251,8 +260,8 @@ def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     elif workers == 1:
         parts = [_simulate_chunk(j) for j in _jobs(config, 1)]
     else:
-        with multiprocessing.Pool(processes=workers, initializer=_default_sigterm) as pool:
-            parts = pool.map(_simulate_chunk, _jobs(config, workers))
+        with _started_runs([config], threads):
+            parts = _STARTED.get()[config][1].get()
     return _summarize(config, parts)
 
 

@@ -428,11 +428,18 @@ class TestPooledHalving:
         constants_report(1.0, n, m, "crude", with_halving_delta=True)
         assert len(made_pools) == pools
 
-    def test_no_worker_without_a_second_moment_solve(self, monkeypatch):
+    def test_no_worker_without_a_second_moment_solve(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
-        assert not constants._pooled_halving(1e-7, 30, 256)  # uniform fallback
-        assert not constants._pooled_halving(1.0, 0, 256)
-        assert constants._pooled_halving(1.0, 30, 256)
+        constants_report(1e-7, 30, 256, with_halving_delta=True)  # uniform fallback
+        constants_report(1.0, 0, 256, "crude", with_halving_delta=True)
+        assert made_pools == []
+
+    @pytest.mark.parametrize("lam, n, tail", [(1.0, 7, "crude"), (1e-7, 30, "envelope"),
+                                              (1.0, 0, "crude")])
+    def test_every_halving_rejects_a_malformed_thread_setting(self, monkeypatch, lam, n, tail):
+        monkeypatch.setenv("PARKLAB_THREADS", "x")
+        with pytest.raises(DomainError, match="PARKLAB_THREADS must be an integer"):
+            constants_report(lam, n, 256, tail, with_halving_delta=True)
 
     def test_split_gives_the_parent_the_fewest_top_rows_with_a_quarter(self):
         for n in range(5, 41):

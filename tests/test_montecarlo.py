@@ -241,6 +241,13 @@ class TestStartedRuns:
             assert run_mc(self.B) == plain
             assert len(made_pools) == 2  # the block's pool, then B's own
 
+    def test_a_pool_worker_runs_in_process(self, monkeypatch):
+        # a daemonic pool worker may start no children of its own
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        with multiprocessing.Pool(1) as pool:
+            in_worker = pool.apply(run_mc, (self.A,))
+        assert in_worker == run_mc(self.A)
+
     def test_pool_is_terminated_when_the_block_raises(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         with pytest.raises(KeyError):

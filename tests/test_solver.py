@@ -484,6 +484,17 @@ class TestProductGrid:
         assert peak <= 500_000
 
 
+def _renyi_constant() -> float:
+    """Renyi's (1958) packing constant c_R = integral over t > 0 of
+    exp(-2 Ein(t)), with Ein(t) = E1(t) + ln t + Euler's gamma; the calling
+    test is skipped without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        def ein(t):
+            return mpmath.e1(t) + mpmath.log(t) + mpmath.euler
+        return float(mpmath.quad(lambda t: mpmath.exp(-2 * ein(t)), [0, 1, mpmath.inf]))
+
+
 class TestSolveUniform:
     def test_first_step_closed_form(self):
         g = solve_uniform_mean_derivative(5, 128)
@@ -505,15 +516,9 @@ class TestSolveUniform:
         assert 0.5 * (lo + hi) == pytest.approx(0.748, abs=5e-4)
 
     def test_window_converges_to_renyi_constant_at_fourth_order(self):
-        # c_R = integral over t > 0 of exp(-2 Ein(t)), with
-        # Ein(t) = E1(t) + ln t + Euler's gamma (Renyi 1958)
-        mpmath = pytest.importorskip("mpmath")
         from parklab import window_extrema
 
-        with mpmath.workdps(30):
-            def ein(t):
-                return mpmath.e1(t) + mpmath.log(t) + mpmath.euler
-            c_r = float(mpmath.quad(lambda t: mpmath.exp(-2 * ein(t)), [0, 1, mpmath.inf]))
+        c_r = _renyi_constant()
         assert c_r == pytest.approx(0.7475979202534114, rel=1e-15)
         errs = []
         for m in (64, 128, 256):
@@ -521,6 +526,14 @@ class TestSolveUniform:
             errs.append(abs(0.5 * (lo + hi) - c_r))
         assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0
         assert errs[2] <= 5e-11
+
+    def test_mean_intercept_is_renyi_constant_minus_one(self):
+        # M(x) - c_R*x - (c_R - 1) -> 0 in the uniform limit (b_R = c_R - 1);
+        # the finite-x term is still 2.5e-10 at x=10, so test further out
+        c_r = _renyi_constant()
+        grid = solve_mean(Params(1e-7, 21, 512))
+        for x in (15.0, 20.0):
+            assert abs(grid.value(x) - c_r * x - (c_r - 1.0)) <= 1e-10
 
     def test_validation(self):
         with pytest.raises(DomainError):

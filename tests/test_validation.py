@@ -1,6 +1,7 @@
 """How ``run_checks`` runs the criteria: background simulations and their clock."""
 
 import math
+import multiprocessing
 import multiprocessing.pool
 import time
 
@@ -29,3 +30,16 @@ def test_simulation_runtime_covers_the_started_runs(monkeypatch):
     assert len(spans) == 2
     submit_to_done = max(end for _, end in spans) - min(start for start, _ in spans)
     assert reading + 0.05 >= submit_to_done  # the reading is printed to 0.1 s
+
+
+def _verdict_lines(criteria):
+    return [r.line() for r in validation.run_checks(quick=True, criteria=criteria)]
+
+
+def test_a_pool_worker_validates_in_process(monkeypatch):
+    # criterion 9 simulates enough trials for two workers, which a daemonic
+    # pool worker may not start
+    monkeypatch.setenv("PARKLAB_THREADS", "2")
+    with multiprocessing.Pool(1) as pool:
+        in_worker = pool.apply(_verdict_lines, ([9],))
+    assert in_worker == _verdict_lines([9])
