@@ -165,13 +165,13 @@ def _cmd_sweep(args) -> int:
         return 2
     lams = np.linspace(args.lam_min, args.lam_max, args.steps) if args.steps > 1 \
         else np.array([args.lam_min])
-    out = sys.stdout
-    out.write("lambda,c_lo,c_hi,b_lo,b_hi,d_lo,d_hi,method\n")
+    # every rate is solved before anything is written, so a failure prints no partial table
+    rows = ["lambda,c_lo,c_hi,b_lo,b_hi,d_lo,d_hi,method\n"]
     for lam in lams:
         method = args.tail or ("envelope" if lam < 3.0 else "crude")
         rep = _constants.constants_report(float(lam), args.n, args.m, method)
-        fields = [lam, *rep.endpoints]
-        out.write(",".join(_FMT % v for v in fields) + f",{method}\n")
+        rows.append(",".join(_FMT % v for v in [lam, *rep.endpoints]) + f",{method}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 

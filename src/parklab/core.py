@@ -48,6 +48,14 @@ def _check_rate(lam: float) -> None:
         raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
 
 
+def _check_shape(horizon_n: int, resolution_m: int) -> None:
+    """Reject a horizon below 3 segments or a resolution that is not even and >= 2."""
+    if not (isinstance(horizon_n, int) and horizon_n >= 3):
+        raise DomainError(f"horizon_n must be an integer >= 3, got {horizon_n!r}")
+    if not (isinstance(resolution_m, int) and resolution_m >= 2 and resolution_m % 2 == 0):
+        raise DomainError(f"resolution_m must be an even integer >= 2, got {resolution_m!r}")
+
+
 @dataclass(frozen=True)
 class Params:
     """Validated solver inputs.
@@ -63,11 +71,7 @@ class Params:
 
     def __post_init__(self) -> None:
         _check_rate(self.lam)
-        if not (isinstance(self.horizon_n, int) and self.horizon_n >= 3):
-            raise DomainError(f"horizon_n must be an integer >= 3, got {self.horizon_n!r}")
-        m = self.resolution_m
-        if not (isinstance(m, int) and m >= 2 and m % 2 == 0):
-            raise DomainError(f"resolution_m must be an even integer >= 2, got {m!r}")
+        _check_shape(self.horizon_n, self.resolution_m)
 
 
 @dataclass(frozen=True)
@@ -292,3 +296,8 @@ def lower_count_bound(x: float) -> int:
     x >= 0.
     """
     return max(0, math.ceil((x - 1.0) / 2.0))
+
+
+def _count_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lower_count_bound and upper_count_bound at every x >= 0, as floats."""
+    return np.ceil(np.maximum(x - 1.0, 0.0) / 2.0), np.floor(x)

@@ -11,9 +11,10 @@ panel rule is exact on cubics, giving fourth-order accuracy throughout.
 Every recursion is stepped by one core, :func:`_march`, given its kernels
 and the closure that turns their integrals into the next segment.  The
 second moment's product convolution depends only on the already-solved
-mean, so :func:`_product_grid` computes it once, before that march starts,
-forming the panel samples of a few node rows per multiply and integrating
-each panel with one :func:`_product_panel` call.
+mean, so :func:`_product_grid` computes it once, before that march starts.
+At each node it forms the samples of all the node's head panels with one
+multiply and those of its tail panels with another, then integrates each
+panel with one :func:`_product_panel` call.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import islice
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -32,9 +31,9 @@ from .core import (
     DomainError,
     Params,
     SegmentedGrid,
+    _check_shape,
+    _count_bounds,
     _interp_segment,
-    lower_count_bound,
-    upper_count_bound,
 )
 
 __all__ = [
@@ -253,16 +252,12 @@ def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
 
     Every count lies in [lower_count_bound(x), upper_count_bound(x)], so a
     node outside is quadrature error, not a mean: at large lam/m the stepper
-    integrates weights that grow by e^(lam/m) between nodes.  Both bounds
-    step only at integers, so on row k (x in [k, k+1]) the lower one is
-    lower(k) at x = k and lower(k+1) after it, the upper one upper(k) before
-    x = k+1 and upper(k+1) there.
+    integrates weights that grow by e^(lam/m) between nodes.  Row k's nodes
+    x = k + j/m are formed by division, so that both integer ends, where the
+    bounds step, come out exact.
     """
     n, m = vals.shape[0], vals.shape[1] - 1
-    lo, hi = np.empty_like(vals), np.empty_like(vals)
-    for k in range(n):
-        lo[k], lo[k, 0] = lower_count_bound(k + 1), lower_count_bound(k)
-        hi[k], hi[k, m] = upper_count_bound(k), upper_count_bound(k + 1)
+    lo, hi = _count_bounds(np.arange(n)[:, None] + np.arange(m + 1) / m)
     bad = np.flatnonzero((vals < lo) | (vals > hi))
     if bad.size:
         k, j = divmod(int(bad[0]), m + 1)
@@ -314,10 +309,7 @@ def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> Segmente
     value(x+1) = (integral of 2 t f(t) over [1, x] + 2) / x^2, with the jump
     at x = 2 kept as in the rated solver.
     """
-    if not (isinstance(horizon_n, int) and horizon_n >= 3):
-        raise DomainError(f"horizon_n must be an integer >= 3, got {horizon_n!r}")
-    if not (isinstance(resolution_m, int) and resolution_m >= 2 and resolution_m % 2 == 0):
-        raise DomainError(f"resolution_m must be an even integer >= 2, got {resolution_m!r}")
+    _check_shape(horizon_n, resolution_m)
     vals = np.zeros((horizon_n, resolution_m + 1))
     _march(vals, 0.0, 2, [(vals, lambda s, offs: 2.0 * (s + offs), False)],
            lambda s, x, ints: (ints[0] + 2.0) / x**2, 3)
@@ -375,57 +367,40 @@ def _product_grid(mvals: np.ndarray, lam: float, rows: tuple[int, int] | None = 
     interpolated midpoint, which always sits half a step into a segment's
     first or last subinterval.
 
-    Node rows go in blocks of a few.  For each j, one flat multiply per row
-    puts the samples of all its head panels [i, i + j*h] (segments i and
-    s - i) at the starts of consecutive buffer rows, and one those of its
-    tail panels [i + j*h, i + 1] (segments i and s - i - 1).  Each node adds
-    its panels in the order head i, tail i, head i+1, ..., so the grid is
-    bit-identical to a panel-by-panel loop.  Each panel is still one
-    :func:`_product_panel` call because the benchmark's tests count them.
+    At node (s, j) one multiply forms the samples of every head panel
+    [i, i + j*h] (segments i and s - i) as the rows of one array, and one
+    those of every tail panel [i + j*h, i + 1] (segments i and s - i - 1).
+    The node adds its panels in the order head i, tail i, head i+1, ..., one
+    :func:`_product_panel` call each, so the grid is bit-identical to a
+    panel-by-panel loop.
     """
     n, m = mvals.shape[0], mvals.shape[1] - 1
     h = 1.0 / m
     offs = _node_offsets(m)
-    # lam*e^{-lam t}*f(t) at every node, and f's rows read backwards, last row first
+    # lam*e^{-lam t}*f(t) at every node, and f read backwards: rev[n-1-k, m-o] = f(k + o*h)
     wm = lam * np.exp(-lam * (np.arange(n)[:, None] + offs[None, :])) * mvals
-    wflat, back = wm.ravel(), mvals[::-1, ::-1].ravel()
+    rev = mvals[::-1, ::-1].copy()
     # f, and lam*e^{-lam t}*f(t), half a step into each first and last subinterval
-    mid = [_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals]
-    wmid = [(lam * math.exp(-lam * (i + 0.5 * h)) * a,
-             lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)]
+    mid = np.array([_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals])
+    wmid = np.array([(lam * math.exp(-lam * (i + 0.5 * h)) * a,
+                      lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)])
     weights = _panel_weight_table(m)
     lo, hi = rows or (1, n - 1)
     prod = np.zeros((n, m + 1))
-    # node rows per block: at least one, and no more than keep each buffer within 128 KB
-    step = max(1, min(n - 2, (1 << 17) // (8 * (m + 1) * (n - 1))))
-    hbuf, tbuf = np.empty((2, step * (n - 1), m + 1))
-    for s0 in range(lo, hi, step):
-        block = range(s0, min(s0 + step, hi))
-        # row s's head panels fill rows a.. of hbuf, its tail panels rows b.. of
-        # tbuf; order holds their places in heads + tails in summation order
-        parts, order, a, b, n_heads = [], [], 0, 0, sum(block) + len(block)
-        for s in block:
-            parts.append((hbuf[a:a + s + 1].ravel(), tbuf[b:b + s].ravel(), (n - 1 - s) * (m + 1)))
-            order += [k for i in range(s) for k in (a + i, n_heads + b + i)] + [a + s]
-            a, b = a + s + 1, b + s
-        pick = itemgetter(*order)
-        head_mid = [wmid[i][0] * mid[s - i][0] for s in block for i in range(s + 1)]
-        tail_mid = [wmid[i][1] * mid[s - i - 1][1] for s in block for i in range(s)]
+    for s in range(lo, hi):
+        wh, rh, wt, rt = wm[:s + 1], rev[n - 1 - s:], wm[:s], rev[n - s:]
         for j in range(m + 1):
-            for hout, tout, at in parts:  # wm[i] meets back[n-1-s+i] in heads, back[n-s+i] in tails
-                k, kt = hout.size - m + j, tout.size - j
-                np.multiply(wflat[:k], back[at + m - j:at + hout.size], out=hout[:k])
-                np.multiply(wflat[j:tout.size], back[at + m + 1:at + m + 1 + kt], out=tout[:kt])
-            heads = list(hbuf[:a, :j + 1]) if j > 0 else []
-            tails = list(tbuf[:b, :m - j + 1]) if j < m else []
-            ws = ((head_mid if j == 1 else [weights[j]] * len(heads))
-                  + (tail_mid if j == m - 1 else [weights[m - j]] * len(tails)))
-            panels = zip(pick(heads + tails), pick(ws)) if heads and tails else zip(heads + tails, ws)
-            for s in block:
-                total = 0.0
-                for fv, w in islice(panels, (s + 1 if j > 0 else 0) + (s if j < m else 0)):
-                    total += _product_panel(fv, w, h)
-                prod[s, j] = total
+            heads = wh[:, :j + 1] * rh[:, m - j:] if j > 0 else ()
+            tails = wt[:, j:] * rt[:, :m - j + 1] if j < m else ()
+            hw = wmid[:s + 1, 0] * mid[s::-1, 0] if j == 1 else [weights[j]] * len(heads)
+            tw = wmid[:s, 1] * mid[s - 1::-1, 1] if j == m - 1 else [weights[m - j]] * len(tails)
+            total = 0.0
+            for i in range(s + 1):
+                if j > 0:
+                    total += _product_panel(heads[i], hw[i], h)
+                if j < m and i < s:
+                    total += _product_panel(tails[i], tw[i], h)
+            prod[s, j] = total
     return prod
 
 

@@ -27,7 +27,7 @@ from . import constants as _constants
 from . import envelope as _envelope
 from . import montecarlo as _mc
 from . import solver as _solver
-from .core import Params, mean_closed, mean_derivative_closed
+from .core import Params, _count_bounds, mean_closed, mean_derivative_closed
 
 __all__ = ["CheckResult", "run_checks", "CRITERIA"]
 
@@ -75,8 +75,7 @@ def _check_2(quick: bool) -> list[CheckResult]:
         g, g2 = _constants._mean_grids(p)
         for k in range(p.horizon_n):
             xs = g.x_nodes(k)
-            # lower_count_bound and upper_count_bound at every node
-            lo, hi = np.ceil(np.maximum(xs - 1.0, 0.0) / 2.0), np.floor(xs)
+            lo, hi = _count_bounds(xs)
             worst = max(worst, float(np.max(lo - g.values[k])), float(np.max(g.values[k] - hi)))
             worst = max(worst, float(np.max(lo**2 - g2.values[k])), float(np.max(g2.values[k] - hi**2)))
     ok = worst <= 0.0

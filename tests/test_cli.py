@@ -253,6 +253,14 @@ class TestSweep:
         assert code == 2
         assert "lambda-min" in err
 
+    def test_failed_rate_prints_no_table(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--lambda-min", "1", "--lambda-max", "1",
+                                 "--steps", "1", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: envelope tails need a solved derivative grid; "
+                       "use horizon_n >= 3\n")
+
 
 class TestSimulate:
     def test_deterministic_and_degenerate(self, capsys):

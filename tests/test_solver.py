@@ -366,7 +366,8 @@ def _product_node_reference(mvals, lam, s, j):
 def _product_grid_loop(mvals, lam):
     """The product convolution grid panel by panel: one multiply and one
     quadrature per panel, each node summing head i, tail i, head i+1, ...
-    The solver's loop before it formed its panel samples in row blocks."""
+    The solver's loop before it formed each node's panel samples with one
+    multiply per kind."""
     n, m = mvals.shape[0], mvals.shape[1] - 1
     h = 1.0 / m
     wm = lam * np.exp(-lam * (np.arange(n)[:, None] + np.arange(m + 1) * (1.0 / m))) * mvals
@@ -434,17 +435,17 @@ class TestProductGrid:
         (1.0, 7, 8), (5.0, 7, 4), (1.0, 5, 2),  # 3/8 panels at odd j; m = 2
         (2.0, 12, 6), (0.3, 16, 10),  # m not a power of two
         (1.0, 16, 64), (1.0, 7, 256),
-        (1.0, 20, 100),  # three row blocks, the last one short
-        (1.0, 5, 2048),  # one node row per block
+        (1.0, 20, 100),  # many node rows
+        (1.0, 5, 2048),  # long panel rows
     ])
     def test_matches_panel_loop_bit_for_bit(self, lam, n, m):
         mvals = _smooth_rows(n, m)
         assert np.array_equal(_product_grid(mvals, lam), _product_grid_loop(mvals, lam))
 
     @pytest.mark.parametrize("n, m, cuts", [
-        (7, 8, (3,)), (7, 8, (2, 5)),  # one block of rows 1-5
-        (12, 256, (4, 9)), (12, 256, (6,)),  # blocks of 5 rows: 1-5, 6-10
-        (30, 64, (5, 13, 25)), (30, 64, (25,)),  # blocks of 8 rows from 1; 25 is the halving's split
+        (7, 8, (3,)), (7, 8, (2, 5)),
+        (12, 256, (4, 9)), (12, 256, (6,)),
+        (30, 64, (5, 13, 25)), (30, 64, (25,)),  # 25 is the halving's split
     ])
     def test_row_ranges_add_up_to_the_full_grid(self, n, m, cuts):
         mvals = _smooth_rows(n, m)
@@ -469,11 +470,12 @@ class TestProductGrid:
         assert held < 1_000_000
 
     def test_peak_memory_is_bounded_by_the_row_blocks(self):
-        # At n=26, m=36 the row blocks peak at about 0.39 MB traced and the
-        # panel loop at 0.04 MB.  The same kernel with all 24 node rows in one
-        # block peaks at about 0.61 MB, and gathering the rows of every pair
-        # for one 2-D multiply per j at about 0.71 MB: either would show in
-        # the benchmark's peak RSS.
+        # At n=26, m=36 one node's panel samples at a time peak at about
+        # 0.07 MB traced, and the panel loop at 0.04 MB.  Node-row blocks
+        # sized to 128 KB buffers peaked at about 0.40 MB, all 24 node rows
+        # in one block at about 0.61 MB, and gathering the rows of every pair
+        # for one 2-D multiply per j at about 0.71 MB: each would show in the
+        # benchmark's peak RSS.
         mvals = _smooth_rows(26, 36)
         tracemalloc.start()
         try:
@@ -481,7 +483,7 @@ class TestProductGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 500_000
+        assert peak <= 200_000
 
 
 def _renyi_constant() -> float:
