@@ -177,9 +177,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _mc.SimConfig(args.lam, args.length, args.trials, args.seed)
-    stats = _mc.run_mc(config)
-    payload = stats.to_dict()
-    if args.zref:
+    if args.zref:  # solved first, so a rate or length the references reject simulates nothing
         n_ref = max(3, math.ceil(args.length))
         params = Params(args.lam, n_ref, 256)
         m_grid = _solver.solve_mean(params)
@@ -190,6 +188,8 @@ def _cmd_simulate(args) -> int:
             print("error: solver variance reference is zero; the count is "
                   "deterministic at this length", file=sys.stderr)
             return 2
+    payload = _mc.run_mc(config).to_dict()
+    if args.zref:
         z3, z4 = _mc.z_diagnostics(config, mean_ref, var_ref)
         payload["zref_mean"] = mean_ref
         payload["zref_variance"] = var_ref
@@ -205,12 +205,11 @@ def _cmd_validate(args) -> int:
     if args.criteria is not None:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
-            results = _validation.run_checks(quick=args.quick, criteria=criteria)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except ValueError:
+            print(f"error: --criteria takes comma-separated integers, got {args.criteria!r}",
+                  file=sys.stderr)
             return 2
-    else:
-        results = _validation.run_checks(quick=args.quick)
+    results = _validation.run_checks(quick=args.quick, criteria=criteria)
     for r in results:
         print(r.line())
     return 0 if all(r.passed for r in results) else 1

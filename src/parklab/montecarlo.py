@@ -8,6 +8,11 @@ gap holds at most one car length.  Trials are simulated in lockstep batches:
 each numpy round parks one car in every live gap of every trial of the
 batch (see ``_saturation_counts``).
 
+Lengths must be below 2**53 (``SimConfig`` rejects the rest).  Below that
+bound every piece is at most its gap minus one, so every trial saturates;
+from 2**53 on ``gap - 1.0`` can round back to ``gap`` and a piece would
+never shrink.
+
 Reproducibility: the unit is a fixed batch of ``_batch_size(length)``
 consecutive trials, min(1024, max(1, 2**20 // ceil(length))).  A stretch
 holds fewer than ceil(length) live gaps, so a batch holds at most 2**20
@@ -63,6 +68,8 @@ class SimConfig:
         _check_rate(self.lam)
         if not (isinstance(self.length, (int, float)) and math.isfinite(self.length) and self.length > 0):
             raise DomainError(f"length must be finite and > 0, got {self.length!r}")
+        if self.length >= 2**53:  # from here on gap - 1.0 can round back to gap
+            raise DomainError(f"length must be below 2**53, got {self.length!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
@@ -113,9 +120,9 @@ def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Ge
 
     ``gaps`` holds every live gap (longer than 1) of the batch and ``owner``
     the trial it belongs to.  Each round draws ``rng.random(gaps.size)``,
-    parks one car in every live gap with ``_place``, and keeps the left
-    pieces, then the right pieces, that are still longer than 1, each in
-    their previous order.
+    parks one car in every live gap with ``_place``, and keeps, by one mask
+    over the left pieces followed by the right pieces (each in their gaps'
+    order), the pieces still longer than 1 and their owners.
     """
     counts = np.zeros(trials, dtype=np.int64)
     if length <= 1.0:
@@ -126,10 +133,9 @@ def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Ge
         free = gaps - 1.0
         t = _place(lam, free, rng.random(gaps.size))
         counts += np.bincount(owner, minlength=trials)
-        rest = free - t
-        left, right = t > 1.0, rest > 1.0
-        gaps = np.concatenate((t[left], rest[right]))
-        owner = np.concatenate((owner[left], owner[right]))
+        pieces = np.concatenate((t, free - t))
+        keep = pieces > 1.0
+        gaps, owner = pieces[keep], np.concatenate((owner, owner))[keep]
     return counts
 
 

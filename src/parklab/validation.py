@@ -27,7 +27,7 @@ from . import constants as _constants
 from . import envelope as _envelope
 from . import montecarlo as _mc
 from . import solver as _solver
-from .core import Params, _count_bounds, mean_closed, mean_derivative_closed
+from .core import DomainError, Params, _count_bounds, mean_closed, mean_derivative_closed
 
 __all__ = ["CheckResult", "run_checks", "CRITERIA"]
 
@@ -262,14 +262,15 @@ def run_checks(
     The criteria share their rated M, M2 and M' grids: each (lam, n, m) is
     solved once per call, and the grids are released when it returns.  The
     selected criteria's simulations are started in one worker pool first,
-    and run while the criteria before them do.
+    and run while the criteria before them do.  An empty or unknown
+    selection raises DomainError before any criterion runs.
     """
     selected = sorted(set(criteria)) if criteria is not None else sorted(CRITERIA)
     if not selected:
-        raise ValueError("no criteria selected")
+        raise DomainError("no criteria selected")
     unknown = [c for c in selected if c not in CRITERIA]
     if unknown:
-        raise ValueError(f"unknown criteria: {unknown}")
+        raise DomainError(f"unknown criteria: {unknown}")
     results: list[CheckResult] = []
     sims = [cfg for c in selected for cfg in _sim_configs(c, quick)]
     with _constants._shared_grids(), _mc._started_runs(sims):

@@ -18,7 +18,9 @@ import pytest
 
 import parklab
 import parklab.constants
+import parklab.montecarlo
 import parklab.solver
+import parklab.validation
 from parklab import DomainError, SegmentedGrid, mean_closed
 from parklab.cli import main
 
@@ -287,6 +289,31 @@ class TestSimulate:
         assert {"zref_mean", "zref_variance", "z_skewness", "z_excess_kurtosis"} <= set(payload)
         assert payload["zref_variance"] > 0
 
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before rejecting the input")
+
+        monkeypatch.setattr(parklab.montecarlo, "run_mc", refuse)
+
+    def test_huge_length_rejected_before_simulating(self, capsys, no_simulation):
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "1", "--length", "1e300",
+                                 "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: length must be below 2**53, got 1e+300\n"
+
+    @pytest.mark.parametrize("lam, length, message", [
+        ("1e-7", "20", "error: no uniform-limit second-moment recursion; "
+                       "rate below cutoff unsupported\n"),
+        ("1", "1.5", "error: solver variance reference is zero; the count is "
+                     "deterministic at this length\n"),
+    ], ids=["below-cutoff", "zero-variance"])
+    def test_zref_failure_comes_before_simulating(self, capsys, no_simulation, lam, length,
+                                                  message):
+        code, out, err = run_cli(capsys, "simulate", "--lambda", lam, "--length", length,
+                                 "--trials", "5", "--zref")
+        assert (code, out, err) == (2, "", message)
+
     def test_zero_trials_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--lambda", "1", "--length", "3", "--trials", "0"])
@@ -329,5 +356,19 @@ class TestValidate:
         assert err == "error: no criteria selected\n"
 
     def test_unknown_criterion_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "validate", "--criteria", "99")
-        assert code == 2
+        code, out, err = run_cli(capsys, "validate", "--criteria", "99")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown criteria: [99]\n"
+
+    def test_non_integer_criterion_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--criteria", "1,x")
+        assert (code, out) == (2, "")
+        assert err == "error: --criteria takes comma-separated integers, got '1,x'\n"
+
+    def test_a_criterion_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(quick):
+            raise ValueError("criterion 10 broke")
+
+        monkeypatch.setitem(parklab.validation.CRITERIA, 10, broken)
+        with pytest.raises(ValueError, match="^criterion 10 broke$"):
+            main(["validate", "--criteria", "10"])

@@ -103,7 +103,9 @@ class TestSaturationCount:
         for trial in range(200):
             assert _one_count(0.7, 3.0, _trial_rng(4, trial)) == 2
 
-    @pytest.mark.parametrize("lam, length, trials", [(1.2, 13.4, 40), (0.3, 7.0, 25), (5.0, 30.0, 3)])
+    # (0.05, 25, 16): at a small rate left pieces often survive; (1, 200, 4): many rounds
+    @pytest.mark.parametrize("lam, length, trials", [(1.2, 13.4, 40), (0.3, 7.0, 25), (5.0, 30.0, 3),
+                                                     (0.05, 25.0, 16), (1.0, 200.0, 4)])
     def test_batch_matches_breadth_first_reference(self, lam, length, trials):
         counts = _saturation_counts(lam, length, trials, _trial_rng(8, 1))
         assert counts.tolist() == _breadth_first_counts(lam, length, trials, _trial_rng(8, 1))
@@ -216,6 +218,11 @@ class TestRunMc:
             SimConfig(1.0, -1.0, 10)
         with pytest.raises(DomainError):
             SimConfig(1.0, 5.0, 10, seed=-1)
+        # from 2**53 on a piece can equal its gap, so the round loop would never end
+        for length in (2.0**53, 1e300):
+            with pytest.raises(DomainError, match=r"^length must be below 2\*\*53, got "):
+                SimConfig(1.0, length, 1)
+        assert SimConfig(1.0, 2.0**53 - 1, 1).length == 2.0**53 - 1
 
 
 class TestStartedRuns:
