@@ -5,13 +5,15 @@ follows a truncated exponential law with rate ``lam`` on the free gap.  The
 mean count of cars at saturation is known in closed form up to x = 3, and the
 process obeys hard counting bounds (at saturation every gap is at most one
 car length, so ceil((x-1)/2) <= count <= floor(x)).  Everything past x = 3 is
-produced by the steppers in :mod:`parklab.solver`.
+produced by the steppers in :mod:`parklab.solver`, which, like every grid
+consumer, read the segment rule (nodes, quadrature, interpolant) from here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -140,8 +142,7 @@ class SegmentedGrid:
 
     def x_nodes(self, k: int) -> np.ndarray:
         """Abscissae of segment k's samples."""
-        m = self.resolution_m
-        return k + np.arange(m + 1) / m
+        return k + _node_offsets(self.resolution_m)
 
     def value(self, x: float) -> float:
         """Evaluate at x in [0, horizon].
@@ -161,6 +162,55 @@ class SegmentedGrid:
         if abs(off - j) < 1e-9 * m:
             return float(self.values[k, j])
         return float(_interp_segment(self.values[k], np.array([off]))[0])
+
+
+def _node_offsets(m: int) -> np.ndarray:
+    """Offsets j*(1/m) of a segment's m+1 nodes from its left edge; the last is exactly 1."""
+    return np.append(np.arange(m) * (1.0 / m), 1.0)
+
+
+# Integral of the cubic through four consecutive unit-spaced nodes, taken
+# over the first subinterval.
+_EDGE_W = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+
+
+def _cumulative(vals: np.ndarray) -> np.ndarray:
+    """Running integral of the local cubic (quadratic for m=2) from the left edge to every node."""
+    m = vals.size - 1
+    if m == 2:
+        inc = np.array([5.0 * vals[0] + 8.0 * vals[1] - vals[2],
+                        -vals[0] + 8.0 * vals[1] + 5.0 * vals[2]]) / 12.0
+    else:
+        inc = np.empty(m)
+        inc[0] = _EDGE_W @ vals[:4]
+        inc[-1] = _EDGE_W[::-1] @ vals[-4:]
+        inc[1:-1] = (-vals[0:m - 2] + 13.0 * vals[1:m - 1] + 13.0 * vals[2:m] - vals[3:m + 1]) / 24.0
+    return np.concatenate(([0.0], np.cumsum((1.0 / m) * inc)))
+
+
+def _panel_weights(n_sub: int) -> np.ndarray:
+    """Composite Simpson weights for n_sub >= 2 unit-spaced subintervals.
+
+    Odd counts take a 3/8 block at the end; both pieces are exact on cubics.
+    """
+    w = np.zeros(n_sub + 1)
+    even_part = n_sub if n_sub % 2 == 0 else n_sub - 3
+    if even_part >= 2:
+        w[0] += 1.0 / 3.0
+        w[even_part] += 1.0 / 3.0
+        w[1:even_part:2] += 4.0 / 3.0
+        w[2:even_part:2] += 2.0 / 3.0
+    if even_part != n_sub:
+        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=4)  # about 4*m^2 bytes, holding the tables of m/2, m/4 and m/8 too
+def _panel_weight_table(m: int) -> tuple:
+    """_panel_weights(j) at entry j = 2..m, shared with the table for m // 2; 0 and 1 are None."""
+    head = _panel_weight_table(m // 2) if m >= 4 else (None, None)
+    return (*head, *map(_panel_weights, range(len(head), m + 1)))
 
 
 def _interp_segment(seg: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _check_rate(self.lam)
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length) and self.length > 0):
+        if not (isinstance(self.length, (int, float)) and 0 < self.length < math.inf):
             raise DomainError(f"length must be finite and > 0, got {self.length!r}")
         if self.length >= 2**53:  # from here on gap - 1.0 can round back to gap
             raise DomainError(f"length must be below 2**53, got {self.length!r}")

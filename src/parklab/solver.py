@@ -6,7 +6,8 @@ time from analytic seeds on [0, 3].  All quadrature is composite Simpson (or
 its cubic-stencil equivalents for odd leftover panels) on the grid's own
 uniform nodes, with panels split at every integer breakpoint and, for the
 convolution-type terms, at the mirror images of the integer breakpoints; each
-panel rule is exact on cubics, giving fourth-order accuracy throughout.
+panel rule is exact on cubics, giving fourth-order accuracy throughout.  That
+segment rule is defined once, in :mod:`parklab.core`.
 
 Every recursion is stepped by one core, :func:`_march`, given its kernels
 and the closure that turns their integrals into the next segment.  The
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,10 @@ from .core import (
     SegmentedGrid,
     _check_shape,
     _count_bounds,
+    _cumulative,
     _interp_segment,
+    _node_offsets,
+    _panel_weight_table,
 )
 
 __all__ = [
@@ -43,57 +46,6 @@ __all__ = [
     "solve_second_moment",
     "solve_uniform_mean_derivative",
 ]
-
-
-# Integral of the cubic through four consecutive unit-spaced nodes, taken
-# over the first subinterval.
-_EDGE_W = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
-
-
-def _subinterval_increments(vals: np.ndarray, h: float) -> np.ndarray:
-    """Integral over each subinterval of the local cubic (quadratic for m=2)."""
-    m = vals.size - 1
-    if m == 2:
-        inc0 = (5.0 * vals[0] + 8.0 * vals[1] - vals[2]) / 12.0
-        inc1 = (-vals[0] + 8.0 * vals[1] + 5.0 * vals[2]) / 12.0
-        return h * np.array([inc0, inc1])
-    inc = np.empty(m)
-    inc[0] = _EDGE_W @ vals[:4]
-    inc[-1] = _EDGE_W[::-1] @ vals[-4:]
-    inc[1:-1] = (-vals[0:m - 2] + 13.0 * vals[1:m - 1] + 13.0 * vals[2:m] - vals[3:m + 1]) / 24.0
-    return h * inc
-
-
-def _cumulative(vals: np.ndarray, h: float) -> np.ndarray:
-    """Running integral from the segment's left edge to every node."""
-    out = np.empty(vals.size)
-    out[0] = 0.0
-    np.cumsum(_subinterval_increments(vals, h), out=out[1:])
-    return out
-
-
-def _panel_weights(n_sub: int) -> np.ndarray:
-    """Composite Simpson weights for n_sub >= 2 unit-spaced subintervals.
-
-    Odd counts take a 3/8 block at the end; both pieces are exact on cubics.
-    """
-    w = np.zeros(n_sub + 1)
-    even_part = n_sub if n_sub % 2 == 0 else n_sub - 3
-    if even_part >= 2:
-        w[0] += 1.0 / 3.0
-        w[even_part] += 1.0 / 3.0
-        w[1:even_part:2] += 4.0 / 3.0
-        w[2:even_part:2] += 2.0 / 3.0
-    if even_part != n_sub:
-        w[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
-    w.setflags(write=False)
-    return w
-
-
-@lru_cache(maxsize=4)  # about 4*m^2 bytes each; validate's and the halving's 128, 256, 512 stay
-def _panel_weight_table(m: int) -> tuple:
-    """_panel_weights(j) at entry j = 2..m; entries 0 and 1 are None."""
-    return (None, None, *map(_panel_weights, range(2, m + 1)))
 
 
 def integrate_weighted(
@@ -111,7 +63,7 @@ def integrate_weighted(
     n, m = grid.horizon_n, grid.resolution_m
     if not (isinstance(a, int) and isinstance(b, int) and 0 <= a <= b <= n):
         raise DomainError(f"integration range [{a}, {b}] needs integer ends in [0, {n}]")
-    w = _panel_weights(m)
+    w = _panel_weight_table(m)[m]
     total = 0.0
     for k in range(a, b):
         total += (1.0 / m) * float(w @ (weight(grid.x_nodes(k)) * grid.values[k]))
@@ -120,11 +72,6 @@ def integrate_weighted(
 
 # One integral term of a recursion: (source rows, weight(s, offs), rescaled).
 _Kernel = tuple[np.ndarray, Callable[[int, np.ndarray], "np.ndarray | float"], bool]
-
-
-def _node_offsets(m: int) -> np.ndarray:
-    """Offsets of a segment's m+1 nodes from its left edge."""
-    return np.arange(m + 1) * (1.0 / m)
 
 
 def _march(
@@ -154,13 +101,12 @@ def _march(
     Row k starts where row k-1 ends at every integer k >= continuous_from.
     """
     n, m = vals.shape[0], vals.shape[1] - 1
-    h = 1.0 / m
     offs = _node_offsets(m)
     eq = math.exp(-lam)
     exp_off = np.exp(-lam * offs)
     prefs = [0.0] * len(kernels)
     for s in range(n - 1):
-        cums = [_cumulative(rows[s] * weight(s, offs), h) for rows, weight, _ in kernels]
+        cums = [_cumulative(rows[s] * weight(s, offs)) for rows, weight, _ in kernels]
         if s + 1 >= start:
             ints = [exp_off * (p + c) if rescaled else p + c
                     for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
@@ -172,8 +118,8 @@ def _march(
                  for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
 
 
-# The interior cubic stencil of _subinterval_increments forms 13*f + 13*g
-# before it divides by 24.
+# The interior cubic stencil of core._cumulative forms 13*f + 13*g before it
+# divides by 24.
 _STENCIL_GAIN = 26.0
 
 
@@ -252,17 +198,16 @@ def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
 
     Every count lies in [lower_count_bound(x), upper_count_bound(x)], so a
     node outside is quadrature error, not a mean: at large lam/m the stepper
-    integrates weights that grow by e^(lam/m) between nodes.  Row k's nodes
-    x = k + j/m are formed by division, so that both integer ends, where the
-    bounds step, come out exact.
+    integrates weights that grow by e^(lam/m) between nodes.
     """
     n, m = vals.shape[0], vals.shape[1] - 1
-    lo, hi = _count_bounds(np.arange(n)[:, None] + np.arange(m + 1) / m)
+    x = np.arange(n)[:, None] + _node_offsets(m)
+    lo, hi = _count_bounds(x)
     bad = np.flatnonzero((vals < lo) | (vals > hi))
     if bad.size:
         k, j = divmod(int(bad[0]), m + 1)
         raise DomainError(
-            f"mean count at lam={lam:g} with m={m} is {vals[k, j]:.6g} at x={k + j / m:g}, "
+            f"mean count at lam={lam:g} with m={m} is {vals[k, j]:.6g} at x={x[k, j]:g}, "
             f"outside the counting bounds [{lo[k, j]:g}, {hi[k, j]:g}]; the resolution is "
             f"too coarse for this rate, a larger --m is needed")
 

@@ -114,6 +114,13 @@ class TestConstants:
         assert payload["c_lo"] == pytest.approx(0.5 * (1 + q / (1 - q * q)), abs=1e-13)
         assert payload["c_hi"] == pytest.approx(0.5 * (1 + q / (1 - q)), abs=1e-13)
 
+    def test_step_bounds_at_a_large_rate(self, capsys):
+        # the n=0 crude tails once rounded out of order here and exited 2
+        code, out, err = run_cli(capsys, "constants", "--lambda", "60", "--n", "0", "--tail", "crude")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["c_lo"] <= payload["c_hi"] and payload["b_lo"] <= payload["b_hi"]
+
     def test_envelope_fields_present(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--lambda", "1", "--n", "5", "--m", "64")
         payload = json.loads(out)

@@ -97,6 +97,14 @@ class TestCrudeTails:
         width = lam / (lam + 1) * (t.upper_tail - t.lower_tail)
         assert width == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_ends_stay_in_order_at_large_rates(self, n):
+        # without outward rounding crude_xmean_tail(lam, 0) inverts from lam ~ 38.03 on
+        for lam in np.linspace(20.0, 700.0, 4000):
+            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
+                t = tail(float(lam), n)
+                assert t.lower_tail <= t.upper_tail
+
     def test_validation(self):
         with pytest.raises(DomainError):
             crude_mean_tail(-1.0, 3)

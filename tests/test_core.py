@@ -8,7 +8,14 @@ from hypothesis import given, strategies as st
 
 from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
 from parklab.constants import crude_mean_tail
-from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
+from parklab.core import (
+    _node_offsets,
+    _panel_weight_table,
+    lower_count_bound,
+    mean_closed,
+    mean_derivative_closed,
+    upper_count_bound,
+)
 
 
 class TestMeanClosed:
@@ -170,3 +177,24 @@ class TestSegmentedGrid:
         g = self._grid()
         with pytest.raises(ValueError):
             g.values[0, 0] = 5.0
+
+
+class TestSegmentRule:
+    def test_node_offsets_span_the_unit_segment_exactly(self):
+        # m * (1/m) rounds below 1 at m = 98, 196, 206, ...; the end is pinned
+        for m in range(2, 1025, 2):
+            offs = _node_offsets(m)
+            assert offs[0] == 0.0 and offs[-1] == 1.0, m
+
+    def test_grid_abscissae_are_the_solver_nodes(self):
+        # j/m and j*(1/m) differ in the last bit at every m that is not a power of two
+        for m in range(2, 1025, 2):
+            g = SegmentedGrid("uniformMprime", np.zeros((3, m + 1)))
+            for k in range(3):
+                assert np.array_equal(g.x_nodes(k), k + _node_offsets(m)), (m, k)
+
+    def test_weight_tables_share_widths_across_resolutions(self):
+        _panel_weight_table.cache_clear()
+        fine, coarse = _panel_weight_table(512), _panel_weight_table(256)
+        assert len(fine) == 513 and len(coarse) == 257
+        assert all(fine[j] is coarse[j] for j in range(2, 257))

@@ -219,7 +219,7 @@ class TestRunMc:
         with pytest.raises(DomainError):
             SimConfig(1.0, 5.0, 10, seed=-1)
         # from 2**53 on a piece can equal its gap, so the round loop would never end
-        for length in (2.0**53, 1e300):
+        for length in (2.0**53, 1e300, 10**400):
             with pytest.raises(DomainError, match=r"^length must be below 2\*\*53, got "):
                 SimConfig(1.0, length, 1)
         assert SimConfig(1.0, 2.0**53 - 1, 1).length == 2.0**53 - 1

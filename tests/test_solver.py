@@ -21,13 +21,14 @@ from parklab import (
 )
 from parklab.core import (
     _interp_segment,
+    _panel_weights,
     lower_count_bound,
     mean_closed,
     mean_derivative_closed,
     upper_count_bound,
 )
 from parklab import solver
-from parklab.solver import _max_rate, _panel_weights, _product_grid, integrate_weighted
+from parklab.solver import _max_rate, _product_grid, integrate_weighted
 
 
 def _const_grid(value=1.0, n=3, m=8, kind="M", lam=1.0):
