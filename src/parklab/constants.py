@@ -170,8 +170,20 @@ def crude_width_formula(lam: float, n: int) -> float:
     return lam / (lam + 1.0) * gap
 
 
+# The step-bound tails divide by (1 - e^-lam)^2, which is lam^2 to rounding at
+# small rates.  From 2^-511 on that square is a normal double and the largest
+# tail, the second moment's 2/lam^2 - 1/lam at n = 0, stays below 2^1023.
+# Below it the square loses precision, that tail overflows under
+# sqrt(2/DBL_MAX) ~ 1.05e-154, and the square underflows to zero under ~1.5e-162.
+_MIN_TAIL_RATE = 2.0 ** -511
+
+
 def _check_tail_args(lam: float, n: int) -> None:
     _check_rate(lam)
+    if lam < _MIN_TAIL_RATE:
+        raise DomainError(
+            f"rate lam={float(lam)!r} is below {_MIN_TAIL_RATE!r}, the smallest rate at "
+            f"which the step-bound tails can be evaluated in doubles")
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"truncation point must be an integer >= 0, got {n!r}")
 
@@ -413,7 +425,7 @@ def constants_report(
         raise DomainError(f"horizon_n must be 0 or an integer >= 3, got {horizon_n!r}")
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
-    _check_rate(lam)
+    _check_tail_args(lam, horizon_n)
 
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)

@@ -13,9 +13,11 @@ Every recursion is stepped by one core, :func:`_march`, given its kernels
 and the closure that turns their integrals into the next segment.  The
 second moment's product convolution depends only on the already-solved
 mean, so :func:`_product_grid` computes it once, before that march starts.
-At each node it forms the samples of all the node's head panels with one
-multiply and those of its tail panels with another, then integrates each
-panel with one :func:`_product_panel` call.
+It works by segment pairs: for each pair it forms the samples of the pair's
+head panels, and then of its tail panels, block by block in one reused
+buffer, integrates each panel with one :func:`_product_panel` call on a row
+view built once per grid, and adds the pair's panel values to its grid rows
+as vectors, in the order a panel-by-panel sum would take.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     UNIFORM_RATE_CUTOFF,
@@ -297,6 +300,12 @@ def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray
     return SegmentedGrid("M2", vals, lam=lam)
 
 
+# Size of _product_grid's sample buffer: as many rows of m+1 samples as fit,
+# at least one and at most a segment pair's m (31 rows at m=256, 7 at m=1024,
+# and a whole pair up to m=90).
+_SAMPLE_BUFFER_BYTES = 1 << 16
+
+
 def _product_grid(mvals: np.ndarray, lam: float, rows: tuple[int, int] | None = None) -> np.ndarray:
     """Integral of lam*e^{-lam t} * f(t) * f(x-t) over [0, x] at every node.
 
@@ -312,40 +321,71 @@ def _product_grid(mvals: np.ndarray, lam: float, rows: tuple[int, int] | None = 
     interpolated midpoint, which always sits half a step into a segment's
     first or last subinterval.
 
-    At node (s, j) one multiply forms the samples of every head panel
-    [i, i + j*h] (segments i and s - i) as the rows of one array, and one
-    those of every tail panel [i + j*h, i + 1] (segments i and s - i - 1).
-    The node adds its panels in the order head i, tail i, head i+1, ..., one
-    :func:`_product_panel` call each, so the grid is bit-identical to a
-    panel-by-panel loop.
+    The panels come in segment pairs (i, k).  For each j, pair (i, k) holds
+    the head panel [i, i + j*h] of node (i + k, j) and the tail panel
+    [i + j*h, i + 1] of node (i + k + 1, j), with samples wm(i, a)*f(k, j-a)
+    and wm(i, j+t)*f(k, m-t), where wm is lam*e^{-lam t}*f(t): windows of f
+    read backwards times a row of wm for the heads, in descending j, and
+    windows of wm times a row of f read backwards for the tails, in
+    ascending j.  Either way the panel with m - r subintervals is the
+    prefix of sample row r.  One reused buffer of _SAMPLE_BUFFER_BYTES holds
+    a block of those rows at a time, filled by one multiply and packed so
+    that every prefix is contiguous; the prefixes, built once per grid, are
+    what :func:`_product_panel` is called on, once per panel.  A pair's
+    panel values are added to its grid rows as vectors, pairs in
+    ascending i and descending k, so every node sums head i, tail i, head
+    i+1, ... as a panel-by-panel loop does, bit for bit.
     """
     n, m = mvals.shape[0], mvals.shape[1] - 1
     h = 1.0 / m
     offs = _node_offsets(m)
-    # lam*e^{-lam t}*f(t) at every node, and f read backwards: rev[n-1-k, m-o] = f(k + o*h)
+    pad = np.zeros(m)
+    # lam*e^{-lam t}*f(t) at every node, and f with each row read backwards,
+    # both flat and padded so that every window of m+1 samples is in range:
+    # wwin[i*(m+1) + j] holds wm(i, j + t) and fwin[k*(m+1) + m - j] f(k, j - a)
     wm = lam * np.exp(-lam * (np.arange(n)[:, None] + offs[None, :])) * mvals
-    rev = mvals[::-1, ::-1].copy()
-    # f, and lam*e^{-lam t}*f(t), half a step into each first and last subinterval
+    wwin = sliding_window_view(np.concatenate((wm.ravel(), pad)), m + 1)
+    back = np.concatenate((mvals[:, ::-1].ravel(), pad))
+    fwin = sliding_window_view(back, m + 1)
+    # f, and lam*e^{-lam t}*f(t), half a step into each first and last
+    # subinterval; pair (i, k)'s j = 1 head and j = m-1 tail take their products
     mid = np.array([_interp_segment(row, np.array([0.5, m - 0.5])) for row in mvals])
     wmid = np.array([(lam * math.exp(-lam * (i + 0.5 * h)) * a,
                       lam * math.exp(-lam * (i + (m - 0.5) * h)) * b) for i, (a, b) in enumerate(mid)])
+    head_mid = np.multiply.outer(wmid[:, 0], mid[:, 0])
+    tail_mid = np.multiply.outer(wmid[:, 1], mid[:, 1])
     weights = _panel_weight_table(m)
+    depth = min(m, max(1, _SAMPLE_BUFFER_BYTES // (8 * (m + 1))))
+    buf = np.empty(depth * (m + 1))
+    # The block of buffer rows from r = a holds m+1-a samples per row, rows
+    # packed that far apart; row r's prefix is the panel with m - r
+    # subintervals.  The last row, r = m-1, takes the pair's midpoint.
+    blocks = []
+    for a in range(0, m, depth):
+        width, count = m + 1 - a, min(depth, m - a)
+        fvs = [buf[(r - a) * width:(r - a) * width + m + 1 - r] for r in range(a, a + count)]
+        blocks.append((a, a + count, width, buf[:count * width].reshape(count, width),
+                       [(fv, weights[m - r]) for r, fv in enumerate(fvs, a) if r < m - 1]))
+    last = fvs[-1]
+
+    def panel_values(windows: np.ndarray, start: int, row: np.ndarray, f_mid: float) -> list:
+        vals = []
+        for a, b, width, out, panels in blocks:
+            np.multiply(windows[start + a:start + b, :width], row[:width], out=out)
+            vals += [_product_panel(fv, w, h) for fv, w in panels]
+        vals.append(_product_panel(last, f_mid, h))
+        return vals
+
     lo, hi = rows or (1, n - 1)
     prod = np.zeros((n, m + 1))
-    for s in range(lo, hi):
-        wh, rh, wt, rt = wm[:s + 1], rev[n - 1 - s:], wm[:s], rev[n - s:]
-        for j in range(m + 1):
-            heads = wh[:, :j + 1] * rh[:, m - j:] if j > 0 else ()
-            tails = wt[:, j:] * rt[:, :m - j + 1] if j < m else ()
-            hw = wmid[:s + 1, 0] * mid[s::-1, 0] if j == 1 else [weights[j]] * len(heads)
-            tw = wmid[:s, 1] * mid[s - 1::-1, 1] if j == m - 1 else [weights[m - j]] * len(tails)
-            total = 0.0
-            for i in range(s + 1):
-                if j > 0:
-                    total += _product_panel(heads[i], hw[i], h)
-                if j < m and i < s:
-                    total += _product_panel(tails[i], tw[i], h)
-            prod[s, j] = total
+    for i in range(hi):
+        for k in range(hi - 1 - i, max(lo - 1 - i, 0) - 1, -1):
+            s = i + k
+            if s >= lo:  # head panels of row s, in descending j
+                prod[s, :0:-1] += panel_values(fwin, k * (m + 1), wm[i], head_mid[i, k])
+            if s + 1 < hi:  # tail panels of row s + 1, in ascending j
+                prod[s + 1, :m] += panel_values(wwin, i * (m + 1), back[k * (m + 1):(k + 1) * (m + 1)],
+                                                tail_mid[i, k])
     return prod
 
 

@@ -138,6 +138,13 @@ class TestConstants:
         assert "rate lam=710 is above 696.08" in err and "n=7" in err
         assert "lam*e^lam would overflow" in err
 
+    def test_rate_too_small_for_the_tails_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--lambda", "1e-200")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: rate lam=1e-200 is below 1.4916681462400413e-154, the smallest "
+                       "rate at which the step-bound tails can be evaluated in doubles\n")
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["constants", "--lambda", "1", "--bogus", "2"])
@@ -261,6 +268,13 @@ class TestSweep:
                                "--steps", "4")
         assert code == 2
         assert "lambda-min" in err
+
+    def test_rate_too_small_for_the_tails_prints_no_table(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--lambda-min", "1e-200", "--lambda-max", "1",
+                                 "--steps", "3", "--n", "5", "--m", "32")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rate lam=1e-200 is below ")
 
     def test_failed_rate_prints_no_table(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--lambda-min", "1", "--lambda-max", "1",

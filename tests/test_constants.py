@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import multiprocessing.pool
 import os
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -372,6 +373,44 @@ class TestReports:
             constants_report(1.0, 0, 64, "envelope")
         rep = constants_report(1.0, 0, 64, "crude")
         assert rep.horizon_n == 0
+
+
+class TestSmallestRate:
+    LIMIT = constants._MIN_TAIL_RATE
+
+    def test_limit_keeps_the_step_bound_denominators_normal(self):
+        # the tails divide by (1 - e^-lam)^2; the second moment's is 2/lam^2 - 1/lam at n = 0
+        one_q = -math.expm1(-self.LIMIT)
+        assert one_q**2 >= sys.float_info.min
+        assert math.isfinite(2.0 / one_q**2)
+        assert math.nextafter(self.LIMIT, 0.0) ** 2 < sys.float_info.min
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_report_at_the_limit(self, n):
+        rep = constants_report(self.LIMIT, n, 16, "crude" if n == 0 else "envelope")
+        assert all(math.isfinite(v) for v in rep.endpoints)
+        assert rep.uniform_fallback == (n > 0)
+
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_report_just_below_the_limit_is_rejected(self, n):
+        lam = math.nextafter(self.LIMIT, 0.0)
+        with pytest.raises(DomainError, match=f"rate lam={lam!r} is below {self.LIMIT!r}"):
+            constants_report(lam, n, 16, "crude" if n == 0 else "envelope")
+
+    def test_tails_reject_rates_below_the_limit(self):
+        # 1e-200 once divided by zero, 1e-155 gave an infinite tail
+        for lam in (1e-200, 1e-155):
+            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail,
+                         crude_width_formula):
+                with pytest.raises(DomainError, match="smallest rate"):
+                    tail(lam, 0)
+
+    def test_scan_from_the_limit(self):
+        for lam in np.geomspace(self.LIMIT, 1e-100, 400):
+            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
+                t = tail(float(lam), 0)
+                assert math.isfinite(t.lower_tail) and t.lower_tail <= t.upper_tail < math.inf
+            assert all(math.isfinite(v) for v in constants_report(float(lam), 0, 2, "crude").endpoints)
 
 
 class TestSharedGrids:

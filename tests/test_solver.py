@@ -397,6 +397,24 @@ def _product_grid_loop(mvals, lam):
     return prod
 
 
+# (lam, n, m, buffer rows): None keeps solver._SAMPLE_BUFFER_BYTES, a count
+# resizes the sample buffer to that many rows of m+1 samples.  A segment pair
+# fills m rows, m+1 down to 2 samples long.
+_PANEL_LOOP_CASES = [
+    (1.0, 7, 8, None), (5.0, 7, 4, None), (1.0, 5, 2, None),  # 3/8 panels at odd j; m = 2
+    (2.0, 12, 6, None), (0.3, 16, 10, None),  # m not a power of two
+    (1.0, 16, 64, None), (1.0, 7, 256, None),
+    (1.0, 20, 100, None),  # many node rows
+    (1.0, 5, 2048, None),  # long panel rows
+    (1.0, 7, 8, 12), (0.5, 9, 16, 20),  # m+1 below the row count: one block
+    (1.0, 7, 8, 9), (0.5, 9, 16, 17),  # m+1 equal to it
+    (1.0, 7, 8, 8), (1.0, 7, 8, 7),  # m equal to it; the midpoint panel alone in the last block
+    (1.0, 7, 16, 4), (2.0, 9, 12, 3), (1.0, 6, 200, None),  # m a multiple of it (40 at 64 KB)
+    (0.3, 6, 10, 3), (1.0, 7, 256, 10),  # a short last block
+    (1.0, 5, 6, 1), (1.0, 5, 2, 1),  # one row per block
+]
+
+
 def _smooth_rows(n, m):
     x = np.arange(n)[:, None] + np.arange(m + 1) / m
     return 1.0 + 0.6 * x + 0.1 * np.sin(3.0 * x)
@@ -432,16 +450,41 @@ class TestProductGrid:
                for s in range(1, n - 1)]
         np.testing.assert_allclose(prod[1:n - 1], np.array(ref), rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("lam,n,m", [
-        (1.0, 7, 8), (5.0, 7, 4), (1.0, 5, 2),  # 3/8 panels at odd j; m = 2
-        (2.0, 12, 6), (0.3, 16, 10),  # m not a power of two
-        (1.0, 16, 64), (1.0, 7, 256),
-        (1.0, 20, 100),  # many node rows
-        (1.0, 5, 2048),  # long panel rows
-    ])
-    def test_matches_panel_loop_bit_for_bit(self, lam, n, m):
+    @pytest.mark.parametrize("lam,n,m,rows", _PANEL_LOOP_CASES, ids=[
+        f"{lam}-{n}-{m}" + (f"-rows{rows}" if rows else "") for lam, n, m, rows in _PANEL_LOOP_CASES])
+    def test_matches_panel_loop_bit_for_bit(self, monkeypatch, lam, n, m, rows):
+        if rows is not None:
+            monkeypatch.setattr(solver, "_SAMPLE_BUFFER_BYTES", 8 * (m + 1) * rows)
         mvals = _smooth_rows(n, m)
         assert np.array_equal(_product_grid(mvals, lam), _product_grid_loop(mvals, lam))
+
+    @pytest.mark.parametrize("n,m", [(7, 8), (10, 16), (5, 2)])
+    def test_each_panel_call_gets_its_samples_contiguous(self, monkeypatch, n, m):
+        # ddot sums a strided vector in another order, so the bits need every
+        # fv C-contiguous and 1-D, holding exactly its panel's samples
+        lam = 1.0
+        mvals = _smooth_rows(n, m)
+        seen = []
+        original = solver._product_panel
+
+        def recording(fv, w, h):
+            assert fv.ndim == 1 and fv.flags.c_contiguous
+            seen.append(fv.copy())
+            return original(fv, w, h)
+
+        monkeypatch.setattr(solver, "_product_panel", recording)
+        _product_grid(mvals, lam)
+        assert len(seen) == m * ((n - 1) ** 2 - 1)
+        wm = lam * np.exp(-lam * (np.arange(n)[:, None] + np.arange(m + 1) * (1.0 / m))) * mvals
+        expected = []
+        for i in range(n - 1):  # segment pairs (i, k), ascending i, descending k
+            for k in range(n - 2 - i, -1, -1):
+                if i + k >= 1:  # heads [i, i + j*h] of row i + k, descending j: j + 1 samples
+                    expected += [wm[i, :j + 1] * mvals[k, j::-1] for j in range(m, 0, -1)]
+                if i + k + 1 <= n - 2:  # tails [i + j*h, i + 1] of row i + k + 1: m - j + 1 samples
+                    expected += [wm[i, j:] * mvals[k, ::-1][:m - j + 1] for j in range(m)]
+        assert len(seen) == len(expected)
+        assert all(np.array_equal(got, want) for got, want in zip(seen, expected))
 
     @pytest.mark.parametrize("n, m, cuts", [
         (7, 8, (3,)), (7, 8, (2, 5)),
@@ -471,12 +514,13 @@ class TestProductGrid:
         assert held < 1_000_000
 
     def test_peak_memory_is_bounded_by_the_row_blocks(self):
-        # At n=26, m=36 one node's panel samples at a time peak at about
-        # 0.07 MB traced, and the panel loop at 0.04 MB.  Node-row blocks
-        # sized to 128 KB buffers peaked at about 0.40 MB, all 24 node rows
-        # in one block at about 0.61 MB, and gathering the rows of every pair
-        # for one 2-D multiply per j at about 0.71 MB: each would show in the
-        # benchmark's peak RSS.
+        # At n=26, m=36 the segment pairs with one reused sample buffer peak
+        # at about 0.10 MB traced, one node's panel samples at a time at
+        # 0.07 MB, and the panel loop at 0.04 MB.  Node-row blocks sized to
+        # 128 KB buffers peaked at about 0.40 MB, all 24 node rows in one block
+        # at about 0.61 MB, and gathering the rows of every pair for one 2-D
+        # multiply per j at about 0.71 MB: each would show in the benchmark's
+        # peak RSS.
         mvals = _smooth_rows(26, 36)
         tracemalloc.start()
         try:
@@ -485,6 +529,22 @@ class TestProductGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 200_000
+
+    def test_peak_memory_at_the_largest_validate_solve(self):
+        # validate's process peaks in its n=7, m=512 solve.  There the grid
+        # peaked at 393,442 B traced (the one-node kernel before it at
+        # 192,400 B): the padded window copies, the sample buffer, its row
+        # views, and NumPy's iterator buffers for the windowed multiplies.
+        # The bound is that peak plus 25%; the cached weights are not counted.
+        mvals = _smooth_rows(7, 512)
+        solver._panel_weight_table(512)
+        tracemalloc.start()
+        try:
+            _product_grid(mvals, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 492_000
 
 
 def _renyi_constant() -> float:
