@@ -163,8 +163,7 @@ def _cmd_sweep(args) -> int:
     if args.lam_min >= args.lam_max and args.steps > 1:
         print("error: --lambda-min must be below --lambda-max", file=sys.stderr)
         return 2
-    lams = np.linspace(args.lam_min, args.lam_max, args.steps) if args.steps > 1 \
-        else np.array([args.lam_min])
+    lams = np.linspace(args.lam_min, args.lam_max, args.steps)
     # every rate is solved before anything is written, so a failure prints no partial table
     rows = ["lambda,c_lo,c_hi,b_lo,b_hi,d_lo,d_hi,method\n"]
     for lam in lams:

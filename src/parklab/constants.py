@@ -62,24 +62,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TailBound:
-    """Two-sided bound on a Laplace-integral tail from truncation point n."""
+class TailBound(Bracket):
+    """Bracket [lo, hi] on a Laplace-integral tail from truncation point n."""
 
-    method: str
-    lower_tail: float
-    upper_tail: float
     n: int
 
     def __post_init__(self) -> None:
-        if self.method not in ("crude", "envelope"):
-            raise DomainError(f"unknown tail method {self.method!r}")
+        super().__post_init__()
         if not (isinstance(self.n, int) and self.n >= 0):
             raise DomainError(f"truncation point must be an integer >= 0, got {self.n!r}")
-        if not (math.isfinite(self.lower_tail) and math.isfinite(self.upper_tail)):
-            raise DomainError("tail bounds must be finite")
-        if self.lower_tail > self.upper_tail:
-            raise DomainError(
-                f"tail bounds out of order: [{self.lower_tail}, {self.upper_tail}]")
 
 
 def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
@@ -109,7 +100,7 @@ def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
 
     No certificate: rounding exp(-lam*n) alone moves a tail 3.6e-15 relative at lam=21.7, n=3.
     """
-    return TailBound("crude", math.nextafter(lower, -math.inf), math.nextafter(upper, math.inf), n)
+    return TailBound(math.nextafter(lower, -math.inf), math.nextafter(upper, math.inf), n)
 
 
 def crude_mean_tail(lam: float, n: int) -> TailBound:
@@ -219,7 +210,7 @@ def envelope_mean_tail(
     else:
         lower = e_n * (value_at_n * (lam * n + 1.0) + inf_slope * (lam * n + 2.0) / lam)
         upper = e_n * (value_at_n * (lam * n + 1.0) + sup_slope * (lam * n + 2.0) / lam)
-    return TailBound("envelope", lower, upper, n)
+    return TailBound(lower, upper, n)
 
 
 def envelope_second_moment_tail(
@@ -243,10 +234,10 @@ def envelope_second_moment_tail(
     a = value_at_n
     e_n = math.exp(-lam * n)
     lower = e_n * (a * a + 2.0 * a * inf_slope / lam + 2.0 * inf_slope**2 / lam**2)
-    floor_tail = crude_mean_tail(lam, n).upper_tail
-    xfloor_tail = crude_xmean_tail(lam, n).upper_tail
+    floor_tail = crude_mean_tail(lam, n).hi
+    xfloor_tail = crude_xmean_tail(lam, n).hi
     upper = a * floor_tail + sup_slope * (xfloor_tail / lam - n * floor_tail)
-    return TailBound("envelope", lower, upper, n)
+    return TailBound(lower, upper, n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +249,9 @@ def envelope_second_moment_tail(
 #                  - 2*(lam+1)*X) / (2*(lam+1)^2)
 #   slope     d = 2*b*c + 2*c - 2*e^lam*P*c/(lam+1) + (lam*P2 - lam)/(lam+1)
 # density_bracket(lam, p), intercept_bracket(lam, p, x) and
-# variance_slope_bracket(lam, p, b, p2) map the (lo, hi) enclosures through
-# these.  b is linear increasing in P and decreasing in X; d is linear
-# increasing in b and P2 and concave quadratic in P.
-
-_Enclosure = tuple[float, float]
+# variance_slope_bracket(lam, p, b, p2) map those Brackets through these.
+# b is linear increasing in P and decreasing in X; d is linear increasing in
+# b and P2 and concave quadratic in P.
 
 
 def _density_from_p(lam: float, p: float) -> float:
@@ -282,47 +271,46 @@ def _slope_from(lam: float, p: float, b: float, p2: float) -> float:
             + (lam * p2 - lam) / (lam + 1.0))
 
 
-def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> _Enclosure:
-    """Enclosure (lo, hi) of lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
+def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> Bracket:
+    """Bracket on lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
     if tail.n == 0:
         trunc = 0.0
     else:
         if grid is None:
             raise DomainError("a solved grid is required for truncation points n > 0")
-        if grid.horizon_n < tail.n:
+        if grid.horizon_n != tail.n:
             raise DomainError(
-                f"grid horizon {grid.horizon_n} shorter than truncation point {tail.n}")
+                f"grid horizon {grid.horizon_n} differs from truncation point {tail.n}")
         trunc = truncated_laplace(grid, lam, power) * lam ** (1 + power)
-    return trunc + tail.lower_tail, trunc + tail.upper_tail
+    return Bracket(trunc + tail.lo, trunc + tail.hi)
 
 
-def density_bracket(lam: float, p: _Enclosure) -> Bracket:
+def density_bracket(lam: float, p: Bracket) -> Bracket:
     """Enclosure of the limiting packing density mean(x)/x, from P."""
-    return Bracket(_density_from_p(lam, p[0]), _density_from_p(lam, p[1]))
+    return Bracket(_density_from_p(lam, p.lo), _density_from_p(lam, p.hi))
 
 
-def intercept_bracket(lam: float, p: _Enclosure, x: _Enclosure) -> Bracket:
+def intercept_bracket(lam: float, p: Bracket, x: Bracket) -> Bracket:
     """Enclosure of the additive constant in mean(x) ~ c*x + b, from P and X.
 
     The identity is increasing in P and decreasing in X, so the lower
     endpoint pairs P's lower bound with X's upper bound and vice versa.
     """
-    return Bracket(_intercept_from(lam, p[0], x[1]), _intercept_from(lam, p[1], x[0]))
+    return Bracket(_intercept_from(lam, p.lo, x.hi), _intercept_from(lam, p.hi, x.lo))
 
 
-def variance_slope_bracket(lam: float, p: _Enclosure, b: Bracket, p2: _Enclosure) -> Bracket:
+def variance_slope_bracket(lam: float, p: Bracket, b: Bracket, p2: Bracket) -> Bracket:
     """Enclosure of the linear growth rate of the count's variance.
 
     Increasing in b and in P2; concave quadratic in P, so the maximizing
     candidate set carries the vertex alongside the interval endpoints.
     """
-    p_lo, p_hi = p
-    lo = min(_slope_from(lam, q, b.lo, p2[0]) for q in (p_lo, p_hi))
-    hi_candidates = [p_lo, p_hi]
+    lo = min(_slope_from(lam, q, b.lo, p2.lo) for q in (p.lo, p.hi))
+    hi_candidates = [p.lo, p.hi]
     p_vertex = 0.5 * ((b.hi + 1.0) * (lam + 1.0) * math.exp(-lam) - 1.0)
-    if p_lo < p_vertex < p_hi:
+    if p.lo < p_vertex < p.hi:
         hi_candidates.append(p_vertex)
-    hi = max(_slope_from(lam, q, b.hi, p2[1]) for q in hi_candidates)
+    hi = max(_slope_from(lam, q, b.hi, p2.hi) for q in hi_candidates)
     return Bracket(lo, hi)
 
 
@@ -389,12 +377,12 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # ---------------------------------------------------------------------------
 # Report assembly.
 
-# A halving pools when ``_resolve_workers`` gives the fine M2 grid's panels two
-# workers of _MIN_PANELS_PER_WORKER.  At that switch (n=10, m=128) the coarse
-# report took 16-23 ms against 9-12 ms for a Pool(1) round trip (quartiles of 41,
-# 2-CPU Xeon), yet (10, 256) and (12, 256) ran slower pooled in 20 and 21 of 21
-# pairs on a contended host.  `report`'s 215040 panels per grid are far above it.
-_MIN_PANELS_PER_WORKER = 10_000
+# A halving pools from 2*_MIN_PANELS_PER_WORKER fine M2 panels.  Pooled/inline
+# medians (lam=1, 11-15 alternating reps, 2-CPU Xeon): 1.4x at (n, m) = (7, 512),
+# 17920 panels, which validate keeps inline; 0.85-1.33x at (10, 256), 20480;
+# 0.74-0.89x at (12, 256), 30720; 0.62-0.66x at (16, 256).  A contended host
+# broke even near 36000.  `report`'s 215040 panels per grid pool.
+_MIN_PANELS_PER_WORKER = 15_000
 
 
 def constants_report(

@@ -311,7 +311,6 @@ def z_diagnostics(
     config: SimConfig,
     mean_ref: float,
     var_ref: float,
-    threads: int | None = None,
 ) -> tuple[float, float]:
     """Skewness and excess kurtosis of (count - mean_ref)/sqrt(var_ref).
 
@@ -322,7 +321,7 @@ def z_diagnostics(
     """
     if not (var_ref > 0.0):
         raise DomainError(f"var_ref must be > 0, got {var_ref!r}")
-    stats = run_mc(config, threads=threads)
+    stats = run_mc(config)
     return _standardized_moments(stats.histogram, config.trials, mean_ref, var_ref)
 
 

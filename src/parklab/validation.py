@@ -230,9 +230,9 @@ def _check_10(quick: bool) -> list[CheckResult]:
 def _check_11(quick: bool) -> list[CheckResult]:
     out = []
     for method in ("envelope", "crude"):
-        r256 = _constants.constants_report(1.0, 7, 256, method)
-        r512 = _constants.constants_report(1.0, 7, 512, method)
-        delta = max(abs(a - b) for a, b in zip(r256.endpoints, r512.endpoints))
+        # m=512 halves to m=256
+        delta = _constants.constants_report(1.0, 7, 512, method,
+                                            with_halving_delta=True).quadrature_halving_delta
         out.append(CheckResult(11, f"m=256 vs 512 endpoint stability ({method})",
                                delta <= 1e-8, f"max endpoint delta {delta:.2e} (tol 1e-8)"))
     return out

@@ -57,36 +57,36 @@ class TestCrudeTails:
     @pytest.mark.parametrize("n", N_GRID)
     def test_mean_tail_matches_series(self, lam, n):
         t = crude_mean_tail(lam, n)
-        assert t.upper_tail == pytest.approx(_series_tail(lam, n, lambda k: k), rel=1e-13)
-        assert t.lower_tail == pytest.approx(
+        assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k), rel=1e-13)
+        assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2)), rel=1e-13)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_xmean_tail_matches_series(self, lam, n):
         t = crude_xmean_tail(lam, n)
-        assert t.upper_tail == pytest.approx(_series_tail(lam, n, lambda k: k, 1), rel=1e-12)
-        assert t.lower_tail == pytest.approx(
+        assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k, 1), rel=1e-12)
+        assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2), 1), rel=1e-12)
 
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_second_moment_tail_matches_series(self, lam, n):
         t = crude_second_moment_tail(lam, n)
-        assert t.upper_tail == pytest.approx(_series_tail(lam, n, lambda k: k * k), rel=1e-12)
-        assert t.lower_tail == pytest.approx(
+        assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k * k), rel=1e-12)
+        assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2) ** 2), rel=1e-12)
 
     def test_closed_forms_at_zero_truncation(self):
         lam = 1.3
         q = math.exp(-lam)
         t = crude_mean_tail(lam, 0)
-        assert t.upper_tail == pytest.approx(q / (1 - q), rel=1e-14)
-        assert t.lower_tail == pytest.approx(q / (1 - q * q), rel=1e-14)
+        assert t.hi == pytest.approx(q / (1 - q), rel=1e-14)
+        assert t.lo == pytest.approx(q / (1 - q * q), rel=1e-14)
 
     def test_gap_decays_geometrically_in_rate(self):
         # at truncation 7 the gap scales like e^(-7 lam) per unit of rate
-        gaps = [crude_mean_tail(lam, 7).upper_tail - crude_mean_tail(lam, 7).lower_tail
+        gaps = [crude_mean_tail(lam, 7).hi - crude_mean_tail(lam, 7).lo
                 for lam in (2.0, 3.0, 4.0)]
         for g0, g1 in zip(gaps, gaps[1:]):
             assert g1 / g0 < math.exp(-6.0)
@@ -95,7 +95,7 @@ class TestCrudeTails:
     def test_gap_limit_at_vanishing_rate(self):
         lam = 1e-4
         t = crude_mean_tail(lam, 7)
-        width = lam / (lam + 1) * (t.upper_tail - t.lower_tail)
+        width = lam / (lam + 1) * (t.hi - t.lo)
         assert width == pytest.approx(0.5, abs=1e-3)
 
     @pytest.mark.parametrize("n", [0, 3, 7])
@@ -104,15 +104,17 @@ class TestCrudeTails:
         for lam in np.linspace(20.0, 700.0, 4000):
             for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
                 t = tail(float(lam), n)
-                assert t.lower_tail <= t.upper_tail
+                assert t.lo <= t.hi
 
     def test_validation(self):
         with pytest.raises(DomainError):
             crude_mean_tail(-1.0, 3)
         with pytest.raises(DomainError):
             crude_mean_tail(1.0, -1)
-        with pytest.raises(DomainError):
-            TailBound("crude", 2.0, 1.0, 3)
+        with pytest.raises(DomainError, match="bracket endpoints out of order"):
+            TailBound(2.0, 1.0, 3)
+        with pytest.raises(DomainError, match="truncation point"):
+            TailBound(1.0, 2.0, -1)
 
 
 class TestEnvelopeTails:
@@ -122,7 +124,7 @@ class TestEnvelopeTails:
     def test_mean_tail_against_quadrature(self, lam, n, a, ci, cs):
         t0 = envelope_mean_tail(lam, n, a, ci, cs, power=0)
         t1 = envelope_mean_tail(lam, n, a, ci, cs, power=1)
-        for c, got0, got1 in [(ci, t0.lower_tail, t1.lower_tail), (cs, t0.upper_tail, t1.upper_tail)]:
+        for c, got0, got1 in [(ci, t0.lo, t1.lo), (cs, t0.hi, t1.hi)]:
             ref0, _ = quad(lambda x: lam * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
             ref1, _ = quad(lambda x: lam**2 * x * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
             assert got0 == pytest.approx(ref0, rel=1e-9)
@@ -132,20 +134,20 @@ class TestEnvelopeTails:
     def test_second_moment_tail_against_quadrature(self, lam, n, a, ci, cs):
         t = envelope_second_moment_tail(lam, n, a, ci, cs)
         ref_lo, _ = quad(lambda x: lam * (a + ci * (x - n)) ** 2 * math.exp(-lam * x), n, np.inf)
-        assert t.lower_tail == pytest.approx(ref_lo, rel=1e-9)
+        assert t.lo == pytest.approx(ref_lo, rel=1e-9)
         ref_hi = _series_tail(lam, n, lambda k: k * a) \
             + cs * (_series_tail(lam, n, lambda k: k, 1) / lam
                     - n * _series_tail(lam, n, lambda k: k))
-        assert t.upper_tail == pytest.approx(ref_hi, rel=1e-9)
+        assert t.hi == pytest.approx(ref_hi, rel=1e-9)
 
     def test_flat_envelope(self):
         t = envelope_mean_tail(1.0, 7, 5.0, 0.0, 0.0, power=0)
-        assert t.lower_tail == t.upper_tail == pytest.approx(5.0 * math.exp(-7.0), rel=1e-14)
+        assert t.lo == t.hi == pytest.approx(5.0 * math.exp(-7.0), rel=1e-14)
 
     def test_power_one_unit_case(self):
         # a + 0*(x-0) with unit value and rate: tail is the full first moment
         t = envelope_mean_tail(1.0, 0, 1.0, 0.0, 0.0, power=1)
-        assert t.lower_tail == pytest.approx(1.0, rel=1e-14)
+        assert t.lo == pytest.approx(1.0, rel=1e-14)
 
     def test_slope_order_enforced(self):
         with pytest.raises(DomainError):
@@ -231,6 +233,16 @@ class TestDensityBracket:
         with pytest.raises(DomainError):
             laplace_bracket(1.0, None, crude_mean_tail(1.0, 7), 0)
 
+    def test_tail_must_start_at_the_grid_horizon(self):
+        # the truncated part covers the whole grid, so a tail from n=5 on a
+        # grid to 7 counted [5, 7] twice and excluded the n=7 bracket
+        grid = solver.solve_mean(Params(1.0, 7, 64))
+        for n in (5, 8):
+            with pytest.raises(DomainError, match=f"grid horizon 7 differs from truncation point {n}"):
+                laplace_bracket(1.0, grid, crude_mean_tail(1.0, n), 0)
+        p = laplace_bracket(1.0, grid, crude_mean_tail(1.0, 7), 0)
+        assert density_bracket(1.0, p) == constants_report(1.0, 7, 64, "crude").c
+
 
 class TestInterceptBracket:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, 6.0])
@@ -266,12 +278,12 @@ class TestVarianceSlopeBracket:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
     def test_degenerate_inputs_match_direct_formula(self, lam):
         c_pt, b_pt = 0.77, -0.26
-        p = (_p_of(lam, c_pt), _p_of(lam, c_pt))
+        p = Bracket(_p_of(lam, c_pt), _p_of(lam, c_pt))
         b = Bracket(b_pt, b_pt)
         tail = crude_second_moment_tail(lam, 0)
         d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, None, tail, 0))
-        lo_ref = _direct_slope(lam, c_pt, b_pt, tail.lower_tail)
-        hi_ref = _direct_slope(lam, c_pt, b_pt, tail.upper_tail)
+        lo_ref = _direct_slope(lam, c_pt, b_pt, tail.lo)
+        hi_ref = _direct_slope(lam, c_pt, b_pt, tail.hi)
         assert d.lo == pytest.approx(lo_ref, rel=1e-10, abs=1e-12)
         assert d.hi == pytest.approx(hi_ref, rel=1e-10, abs=1e-12)
 
@@ -291,9 +303,9 @@ class TestVarianceSlopeBracket:
     def test_widening_inputs_never_narrows_output(self, lam, c_mid, c_w, b_mid, b_w):
         p2 = laplace_bracket(lam, None, crude_second_moment_tail(lam, 0), 0)
         p_mid = _p_of(lam, c_mid)
-        narrow = variance_slope_bracket(lam, (p_mid, p_mid), Bracket(b_mid, b_mid), p2)
+        narrow = variance_slope_bracket(lam, Bracket(p_mid, p_mid), Bracket(b_mid, b_mid), p2)
         wide = variance_slope_bracket(
-            lam, (_p_of(lam, c_mid - c_w), _p_of(lam, c_mid + c_w)),
+            lam, Bracket(_p_of(lam, c_mid - c_w), _p_of(lam, c_mid + c_w)),
             Bracket(b_mid - b_w, b_mid + b_w), p2)
         assert wide.lo <= narrow.lo + 1e-12
         assert wide.hi >= narrow.hi - 1e-12
@@ -409,7 +421,7 @@ class TestSmallestRate:
         for lam in np.geomspace(self.LIMIT, 1e-100, 400):
             for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
                 t = tail(float(lam), 0)
-                assert math.isfinite(t.lower_tail) and t.lower_tail <= t.upper_tail < math.inf
+                assert math.isfinite(t.lo) and t.lo <= t.hi < math.inf
             assert all(math.isfinite(v) for v in constants_report(float(lam), 0, 2, "crude").endpoints)
 
 
@@ -468,7 +480,8 @@ class TestPooledHalving:
         assert len(made_pools) == 1
         assert inline.quadrature_halving_delta is not None
 
-    @pytest.mark.parametrize("n, m, pools", [(7, 8, 0), (7, 256, 0), (12, 64, 0), (10, 256, 1)])
+    @pytest.mark.parametrize("n, m, pools", [(7, 8, 0), (7, 256, 0), (12, 64, 0), (7, 512, 0),
+                                             (10, 256, 0), (12, 256, 1)])
     def test_worker_starts_only_above_the_rules_minimum(self, monkeypatch, made_pools, n, m, pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         assert (m * ((n - 1) ** 2 - 1) >= 2 * constants._MIN_PANELS_PER_WORKER) == bool(pools)

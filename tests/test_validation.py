@@ -1,11 +1,14 @@
-"""How ``run_checks`` runs the criteria: background simulations and their clock."""
+"""How ``run_checks`` runs the criteria: background simulations, their clock,
+and the halving delta that criterion 11 reads."""
 
 import math
 import multiprocessing
 import multiprocessing.pool
 import time
 
-from parklab import validation
+import pytest
+
+from parklab import constants_report, validation
 
 
 def test_simulation_runtime_covers_the_started_runs(monkeypatch):
@@ -43,3 +46,15 @@ def test_a_pool_worker_validates_in_process(monkeypatch):
     with multiprocessing.Pool(1) as pool:
         in_worker = pool.apply(_verdict_lines, ([9],))
     assert in_worker == _verdict_lines([9])
+
+
+@pytest.mark.parametrize("method", ["envelope", "crude"])
+def test_criterion_11_reads_the_halving_delta(method):
+    # the m=512 report's halving delta is the m=256 vs m=512 endpoint delta, bit for bit
+    r256 = constants_report(1.0, 7, 256, method)
+    r512 = constants_report(1.0, 7, 512, method)
+    recomputed = max(abs(a - b) for a, b in zip(r256.endpoints, r512.endpoints))
+    halved = constants_report(1.0, 7, 512, method, with_halving_delta=True)
+    assert halved.quadrature_halving_delta == recomputed
+    line, = [r for r in validation.CRITERIA[11](True) if f"({method})" in r.name]
+    assert line.measured == f"max endpoint delta {recomputed:.2e} (tol 1e-8)"
