@@ -45,8 +45,11 @@ UNIFORM_RATE_CUTOFF = 1e-6
 
 
 def _check_rate(lam: float) -> None:
-    """Reject anything but a finite positive real rate (numpy floats pass)."""
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
+    """Reject anything but a finite positive real rate (numpy float64 passes,
+    a bool does not); a value of another type is named with its type."""
+    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
+        raise DomainError(f"rate lam must be finite and > 0, got {type(lam).__name__} {lam!r}")
+    if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
 
 

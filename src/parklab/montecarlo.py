@@ -6,7 +6,8 @@ on each sub-stretch is the same truncated exponential by self-similarity, so
 a trial is just a set of stretch lengths.  Saturation is reached when every
 gap holds at most one car length.  Trials are simulated in lockstep batches:
 each numpy round parks one car in every live gap of every trial of the
-batch (see ``_saturation_counts``).
+batch, writes the pieces into one reused buffer and keeps those still longer
+than 1 by their indices (see ``_saturation_counts``).
 
 Lengths must be below 2**53 (``SimConfig`` rejects the rest).  Below that
 bound every piece is at most its gap minus one, so every trial saturates;
@@ -65,15 +66,34 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # numpy scalars are stored as the equal Python numbers, so a config
+        # built from them runs bit for bit like one built from plain numbers
+        for name in ("lam", "length", "trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.integer):
+                object.__setattr__(self, name, int(value))
+            elif isinstance(value, np.floating):
+                object.__setattr__(self, name, float(value))
         _check_rate(self.lam)
-        if not (isinstance(self.length, (int, float)) and 0 < self.length < math.inf):
+        _check_kind("length", self.length)
+        if not 0 < self.length < math.inf:
             raise DomainError(f"length must be finite and > 0, got {self.length!r}")
         if self.length >= 2**53:  # from here on gap - 1.0 can round back to gap
             raise DomainError(f"length must be below 2**53, got {self.length!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        _check_kind("trials", self.trials, integer=True)
+        if self.trials < 1:
             raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        _check_kind("seed", self.seed, integer=True)
+        if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+
+
+def _check_kind(name: str, value: object, integer: bool = False) -> None:
+    """Reject a value that is not a Python int (or, unless integer, float),
+    and any bool, with a message naming its type."""
+    kind, types = ("an integer", int) if integer else ("a real number", (int, float))
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise DomainError(f"{name} must be {kind}, got {type(value).__name__} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,22 +140,29 @@ def _saturation_counts(lam: float, length: float, trials: int, rng: np.random.Ge
 
     ``gaps`` holds every live gap (longer than 1) of the batch and ``owner``
     the trial it belongs to.  Each round draws ``rng.random(gaps.size)``,
-    parks one car in every live gap with ``_place``, and keeps, by one mask
-    over the left pieces followed by the right pieces (each in their gaps'
-    order), the pieces still longer than 1 and their owners.
+    parks one car in every live gap with ``_place``, and writes the left
+    pieces followed by the right pieces (each in their gaps' order) into
+    ``pieces``, one buffer reused by every round.  The indices of the pieces
+    still longer than 1 select the next round's gaps and, taken modulo the
+    gap count, their owners.
     """
     counts = np.zeros(trials, dtype=np.int64)
     if length <= 1.0:
         return counts
     gaps = np.full(trials, float(length))
     owner = np.arange(trials)
+    buf = np.empty(2 * trials)
     while gaps.size:
-        free = gaps - 1.0
-        t = _place(lam, free, rng.random(gaps.size))
+        n = gaps.size
+        if buf.size < 2 * n:
+            buf = np.empty(2 * n)
+        pieces = buf[:2 * n]
+        gaps -= 1.0  # each gap's free length from here on
+        pieces[:n] = _place(lam, gaps, rng.random(n))
+        np.subtract(gaps, pieces[:n], out=pieces[n:])
         counts += np.bincount(owner, minlength=trials)
-        pieces = np.concatenate((t, free - t))
-        keep = pieces > 1.0
-        gaps, owner = pieces[keep], np.concatenate((owner, owner))[keep]
+        kept = (pieces > 1.0).nonzero()[0]
+        gaps, owner = pieces.take(kept), owner.take(kept, mode="wrap")
     return counts
 
 

@@ -119,7 +119,7 @@ class TestCheckRate:
     ]
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, "1.0", None])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan, "1.0", None, True])
     def test_every_entry_point_rejects_with_one_message(self, entry, lam):
         with pytest.raises(DomainError, match=r"^rate lam must be finite and > 0, got "):
             entry(lam)

@@ -1,5 +1,6 @@
 """Sampler, simulator, and moment accumulation."""
 
+import itertools
 import math
 import multiprocessing
 import multiprocessing.pool
@@ -7,11 +8,12 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parklab import DomainError, Params, SimConfig, run_mc, solve_mean, solve_second_moment
 import parklab
@@ -49,6 +51,45 @@ def _breadth_first_counts(lam, length, trials, rng):
                 right.append((free - t, i))
         gaps = left + right
     return counts
+
+
+def _masked_counts(lam, length, trials, rng):
+    """Vectorized reference for _saturation_counts: its former round, which
+    keeps the surviving pieces, and their owners from the doubled owner
+    array, by one boolean mask."""
+    counts = np.zeros(trials, dtype=np.int64)
+    if length <= 1.0:
+        return counts
+    gaps = np.full(trials, float(length))
+    owner = np.arange(trials)
+    while gaps.size:
+        free = gaps - 1.0
+        t = _place(lam, free, rng.random(gaps.size))
+        counts += np.bincount(owner, minlength=trials)
+        pieces = np.concatenate((t, free - t))
+        keep = pieces > 1.0
+        gaps, owner = pieces[keep], np.concatenate((owner, owner))[keep]
+    return counts
+
+
+class _ZeroEveryThird:
+    """A Generator's uniforms with every third one replaced by 0.0, the
+    lowest value ``random()`` returns.  A car drawn at 0 parks flush left and
+    leaves a right piece of exactly its free length, so a stretch of length 2
+    leaves a piece of exactly 1, which holds no further car."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[::3] = 0.0
+        return u
+
+
+def _draws(seed, batch, zeros):
+    rng = _trial_rng(seed, batch)
+    return _ZeroEveryThird(rng) if zeros else rng
 
 
 class TestSampler:
@@ -114,6 +155,38 @@ class TestSaturationCount:
         for batch in range(20):
             batch_of_one = _saturation_counts(1.0, 30.0, 1, _trial_rng(7, batch))
             assert batch_of_one.tolist() == _breadth_first_counts(1.0, 30.0, 1, _trial_rng(7, batch))
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("trials", [1, 7, 1024])
+    def test_matches_the_masked_round(self, trials, zeros):
+        rates = (1e-9, 1e-6, 0.01, 1.0, 20.0, 700.0)
+        lengths = (0.5, 1.0, 1 + 1e-7, 1.5, 2.0, 3.7, 55.5, 500.0)
+        for batch, (lam, length) in enumerate(itertools.product(rates, lengths)):
+            counts = _saturation_counts(lam, length, trials, _draws(6, batch, zeros))
+            expected = _masked_counts(lam, length, trials, _draws(6, batch, zeros))
+            assert np.array_equal(counts, expected), (lam, length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-9, 700.0), st.floats(0.5, 60.0), st.integers(1, 16),
+           st.integers(0, 2**64 - 1), st.booleans())
+    def test_matches_breadth_first_reference_anywhere(self, lam, length, trials, seed, zeros):
+        counts = _saturation_counts(lam, length, trials, _draws(seed, 0, zeros))
+        assert counts.tolist() == _breadth_first_counts(lam, length, trials, _draws(seed, 0, zeros))
+
+    def test_peak_memory_of_one_batch(self):
+        # One L=500 batch of 1024 trials peaked at 111,664 B traced with the
+        # reused pieces buffer, and at 140,150 B when each round also built a
+        # keep mask and a doubled owner array.  Pool workers run these
+        # batches, and a worker's peak reaches the benchmark's peak RSS
+        # through wait4.  The bound is this change's peak plus 25%.
+        rng = _trial_rng(0, 0)
+        tracemalloc.start()
+        try:
+            _saturation_counts(1.0, 500.0, 1024, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 139_580
 
     def test_batch_size_rule(self):
         assert _batch_size(0.5) == _batch_size(30.0) == _batch_size(1024.0) == 1024
@@ -223,6 +296,25 @@ class TestRunMc:
             with pytest.raises(DomainError, match=r"^length must be below 2\*\*53, got "):
                 SimConfig(1.0, length, 1)
         assert SimConfig(1.0, 2.0**53 - 1, 1).length == 2.0**53 - 1
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        plain = SimConfig(1.0, 30.0, 10, seed=5)
+        numpy = SimConfig(np.float32(1.0), np.int64(30), np.int64(10), seed=np.uint64(5))
+        assert [type(v) for v in (numpy.lam, numpy.length, numpy.trials, numpy.seed)] == \
+            [float, int, int, int]
+        assert numpy == plain and run_mc(numpy) == run_mc(plain)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, True, 10), "length must be a real number, got bool True"),
+        ((1.0, "30", 10), "length must be a real number, got str '30'"),
+        ((1.0, 30.0, True), "trials must be an integer, got bool True"),
+        ((1.0, 30.0, 10.0), "trials must be an integer, got float 10.0"),
+        ((1.0, 30.0, 10, np.float64(5.0)), "seed must be an integer, got float 5.0"),
+        ((True, 30.0, 10), "rate lam must be finite and > 0, got bool True"),
+    ])
+    def test_a_wrong_type_is_named(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            SimConfig(*args)
 
 
 class TestStartedRuns:
