@@ -35,16 +35,18 @@ from . import envelope as _envelope
 from . import montecarlo as _mc
 from . import solver as _solver
 from .core import (
-    UNIFORM_RATE_CUTOFF,
     Bracket,
     ConstantsReport,
     DomainError,
     Params,
     SegmentedGrid,
+    _check_int,
     _check_rate,
+    _check_resolution,
 )
 
 __all__ = [
+    "UNIFORM_RATE_CUTOFF",
     "TailBound",
     "truncated_laplace",
     "crude_mean_tail",
@@ -105,7 +107,7 @@ def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
 
 def crude_mean_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam * mean * e^(-lam*x), x = n..inf)."""
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     one_q2 = -math.expm1(-2.0 * lam)
@@ -117,7 +119,7 @@ def crude_mean_tail(lam: float, n: int) -> TailBound:
 
 def crude_xmean_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam^2 * x * mean * e^(-lam*x), n..inf)."""
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     big_q = q * q
@@ -133,7 +135,7 @@ def crude_xmean_tail(lam: float, n: int) -> TailBound:
 
 def crude_second_moment_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam * second_moment * e^(-lam*x), n..inf)."""
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     big_q = q * q
@@ -154,29 +156,18 @@ def crude_width_formula(lam: float, n: int) -> float:
     bracket construction must reproduce it to machine precision.  The leading
     term is floor(n/2)*e^(-lam*n), so the width decays like n*e^(-lam*n).
     """
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     one_bq = -math.expm1(-2.0 * lam)
     j_even = n + 2 if n % 2 == 0 else n + 1  # first even > n
     gap = math.floor(n / 2) * math.exp(-lam * n) + math.exp(-lam * j_even) / one_bq
     return lam / (lam + 1.0) * gap
 
 
-# The step-bound tails divide by (1 - e^-lam)^2, which is lam^2 to rounding at
-# small rates.  From 2^-511 on that square is a normal double and the largest
-# tail, the second moment's 2/lam^2 - 1/lam at n = 0, stays below 2^1023.
-# Below it the square loses precision, that tail overflows under
-# sqrt(2/DBL_MAX) ~ 1.05e-154, and the square underflows to zero under ~1.5e-162.
-_MIN_TAIL_RATE = 2.0 ** -511
-
-
-def _check_tail_args(lam: float, n: int) -> None:
-    _check_rate(lam)
-    if lam < _MIN_TAIL_RATE:
-        raise DomainError(
-            f"rate lam={float(lam)!r} is below {_MIN_TAIL_RATE!r}, the smallest rate at "
-            f"which the step-bound tails can be evaluated in doubles")
+def _check_tail_args(lam: float, n: int) -> float:
+    lam = _check_rate(lam, solvable=True)
     if not (isinstance(n, int) and n >= 0):
         raise DomainError(f"truncation point must be an integer >= 0, got {n!r}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +188,7 @@ def envelope_mean_tail(
     integral(lam^2 * x * mean * e^(-lam*x)).  Closed forms are elementary
     exponential-polynomial integrals, oracle-checked in the tests.
     """
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(
             f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
@@ -227,7 +218,7 @@ def envelope_second_moment_tail(
     moment is at most floor(x) times the mean's upper envelope; that side
     reuses the floor-tail series.
     """
-    _check_tail_args(lam, n)
+    lam = _check_tail_args(lam, n)
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(
             f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
@@ -377,6 +368,12 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # ---------------------------------------------------------------------------
 # Report assembly.
 
+# Below this rate a report is the uniform limit's (_uniform_fallback_report).
+# The solvers step at every accepted rate, but the bracket identities above
+# cancel there: b and d both subtract terms of order 1/lam to leave O(1)
+# constants, so the brackets' widths grow by that factor.
+UNIFORM_RATE_CUTOFF = 1e-6
+
 # A halving pools from 2*_MIN_PANELS_PER_WORKER fine M2 panels.  Pooled/inline
 # medians (lam=1, 11-15 alternating reps, 2-CPU Xeon): 1.4x at (n, m) = (7, 512),
 # 17920 panels, which validate keeps inline; 0.85-1.33x at (10, 256), 20480;
@@ -409,11 +406,11 @@ def constants_report(
     """
     if tail_method not in ("crude", "envelope"):
         raise DomainError(f"unknown tail method {tail_method!r}")
-    if not (isinstance(horizon_n, int) and (horizon_n == 0 or horizon_n >= 3)):
-        raise DomainError(f"horizon_n must be 0 or an integer >= 3, got {horizon_n!r}")
+    horizon_n = _check_int("horizon_n", horizon_n, lambda n: n == 0 or n >= 3, "0 or an integer >= 3")
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
-    _check_tail_args(lam, horizon_n)
+    resolution_m = _check_resolution(resolution_m)
+    lam = _check_tail_args(lam, horizon_n)
 
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)

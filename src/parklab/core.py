@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "SegmentedGrid",
     "ConstantsReport",
     "GRID_KINDS",
-    "UNIFORM_RATE_CUTOFF",
     "mean_closed",
     "mean_derivative_closed",
     "upper_count_bound",
@@ -39,33 +38,63 @@ class DomainError(ValueError):
 
 GRID_KINDS = ("M", "Mprime", "M2", "uniformMprime")
 
-# Below this rate the placement law is numerically indistinguishable from
-# uniform; solvers switch to the uniform-limit equations and flag it.
-UNIFORM_RATE_CUTOFF = 1e-6
+# The smallest rate Params and the tails accept: the derivative recursion
+# divides by expm1(-lam*x)^2 and the step-bound tails by (1 - e^-lam)^2,
+# and from 2^-511 on that square is a normal double.  Below it the square
+# loses precision, the second moment's tail 2/lam^2 - 1/lam at n = 0
+# overflows under ~1.05e-154, and the square is zero under ~1.5e-162.
+_MIN_RATE = 2.0 ** -511
 
 
-def _check_rate(lam: float) -> None:
-    """Reject anything but a finite positive real rate (numpy float64 passes,
-    a bool does not); a value of another type is named with its type."""
-    if isinstance(lam, bool) or not isinstance(lam, (int, float)):
-        raise DomainError(f"rate lam must be finite and > 0, got {type(lam).__name__} {lam!r}")
-    if not (math.isfinite(lam) and lam > 0):
+def _check_kind(name: str, value: object, integer: bool = False, need: str = ""):
+    """``value`` as a Python int (or, unless integer, float), numpy scalars
+    converted to the equal Python number; any other value, bools included,
+    gets a message naming its type."""
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        need = need or ("an integer" if integer else "a real number")
+        raise DomainError(f"{name} must be {need}, got {type(value).__name__} {value!r}")
+    return value
+
+
+def _check_rate(lam: float, solvable: bool = False) -> float:
+    """``lam`` as a Python float if it is a finite positive real, and if
+    ``solvable`` (Params and the tails) at least _MIN_RATE."""
+    rate = float(_check_kind("rate lam", lam, need="finite and > 0"))
+    if not (math.isfinite(rate) and rate > 0):
         raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
+    if solvable and rate < _MIN_RATE:
+        raise DomainError(f"rate lam={rate!r} is below {_MIN_RATE!r}, the smallest rate at "
+                          f"which the step-bound tails can be evaluated in doubles")
+    return rate
 
 
-def _check_shape(horizon_n: int, resolution_m: int) -> None:
-    """Reject a horizon below 3 segments or a resolution that is not even and >= 2."""
-    if not (isinstance(horizon_n, int) and horizon_n >= 3):
-        raise DomainError(f"horizon_n must be an integer >= 3, got {horizon_n!r}")
-    if not (isinstance(resolution_m, int) and resolution_m >= 2 and resolution_m % 2 == 0):
-        raise DomainError(f"resolution_m must be an even integer >= 2, got {resolution_m!r}")
+def _check_int(name: str, value: object, ok: Callable[[int], bool], rule: str) -> int:
+    """``value`` as a Python int (see _check_kind) if ok(value), else a message naming the rule."""
+    value = _check_kind(name, value, integer=True)
+    if not ok(value):
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _check_resolution(resolution_m: int) -> int:
+    return _check_int("resolution_m", resolution_m, lambda m: m >= 2 and m % 2 == 0,
+                      "an even integer >= 2")
+
+
+def _check_shape(horizon_n: int, resolution_m: int) -> tuple[int, int]:
+    return (_check_int("horizon_n", horizon_n, lambda n: n >= 3, "an integer >= 3"),
+            _check_resolution(resolution_m))
 
 
 @dataclass(frozen=True)
 class Params:
-    """Validated solver inputs.
+    """Validated solver inputs, stored as Python numbers.
 
-    lam          placement rate (> 0, per unit length)
+    lam          placement rate, from _MIN_RATE = 2^-511 to solver._max_rate(n)
     horizon_n    number of unit segments to solve, >= 3
     resolution_m subintervals per unit segment, even and >= 2
     """
@@ -75,8 +104,10 @@ class Params:
     resolution_m: int = 256
 
     def __post_init__(self) -> None:
-        _check_rate(self.lam)
-        _check_shape(self.horizon_n, self.resolution_m)
+        object.__setattr__(self, "lam", _check_rate(self.lam, solvable=True))
+        n, m = _check_shape(self.horizon_n, self.resolution_m)
+        object.__setattr__(self, "horizon_n", n)
+        object.__setattr__(self, "resolution_m", m)
 
 
 @dataclass(frozen=True)
@@ -246,8 +277,8 @@ class ConstantsReport:
     c brackets the packing density (mean count / length), b the additive
     intercept of the mean, d the slope of the variance.  envelope_inf and
     envelope_sup are the derivative window extrema used by the envelope tail
-    method; uniform_fallback marks reports where the rate was below
-    UNIFORM_RATE_CUTOFF and the uniform-limit equations were solved instead.
+    method; uniform_fallback marks reports below constants.UNIFORM_RATE_CUTOFF,
+    whose brackets come from the uniform limit's derivative instead.
     """
 
     lam: float
@@ -297,7 +328,7 @@ def mean_closed(x: float, lam: float) -> float:
     probability enters through a ratio of exponential masses.  Continuous
     except for the unit jump at x = 1; equals 2 at x = 3 by cancellation.
     """
-    _check_rate(lam)
+    lam = _check_rate(lam)
     if not (0.0 <= x <= 3.0):
         raise DomainError(f"closed form only valid on [0, 3], got x={x!r}")
     if x <= 1.0:
@@ -316,7 +347,7 @@ def mean_derivative_closed(x: float, lam: float, from_right: bool = False) -> fl
     right-limit value at 2.  x = 1 and x = 2 are jump points and are only
     evaluated when ``from_right`` requests the right limit.
     """
-    _check_rate(lam)
+    lam = _check_rate(lam)
     if not (0.0 < x <= 3.0):
         raise DomainError(f"closed form only valid on (0, 3], got x={x!r}")
     if x == 1.0 or x == 2.0:

@@ -45,7 +45,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .core import DomainError, _check_rate, lower_count_bound, upper_count_bound
+from .core import (DomainError, _check_int, _check_kind, _check_rate, lower_count_bound,
+                   upper_count_bound)
 
 __all__ = [
     "SimConfig",
@@ -66,34 +67,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # numpy scalars are stored as the equal Python numbers, so a config
-        # built from them runs bit for bit like one built from plain numbers
-        for name in ("lam", "length", "trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, np.integer):
-                object.__setattr__(self, name, int(value))
-            elif isinstance(value, np.floating):
-                object.__setattr__(self, name, float(value))
-        _check_rate(self.lam)
-        _check_kind("length", self.length)
+        object.__setattr__(self, "lam", _check_rate(self.lam))
+        object.__setattr__(self, "length", _check_kind("length", self.length))
         if not 0 < self.length < math.inf:
             raise DomainError(f"length must be finite and > 0, got {self.length!r}")
         if self.length >= 2**53:  # from here on gap - 1.0 can round back to gap
             raise DomainError(f"length must be below 2**53, got {self.length!r}")
-        _check_kind("trials", self.trials, integer=True)
-        if self.trials < 1:
-            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
-        _check_kind("seed", self.seed, integer=True)
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-
-
-def _check_kind(name: str, value: object, integer: bool = False) -> None:
-    """Reject a value that is not a Python int (or, unless integer, float),
-    and any bool, with a message naming its type."""
-    kind, types = ("an integer", int) if integer else ("a real number", (int, float))
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise DomainError(f"{name} must be {kind}, got {type(value).__name__} {value!r}")
+        for name, ok, rule in (("trials", lambda t: t >= 1, "an integer >= 1"),
+                               ("seed", lambda s: 0 <= s < 2**64, "a 64-bit unsigned integer")):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), ok, rule))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    UNIFORM_RATE_CUTOFF,
     DomainError,
     Params,
     SegmentedGrid,
@@ -168,9 +167,8 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     Seeds [0, seed_upto] from the closed forms, then advances by
     value(x+1) = (direct + convolution)/(1 - exp(-lam*x)) + 1 where both
     integrals run over already-complete segments.  ``seed_upto=2`` exercises
-    the stepper against the closed form on (2, 3].  Below
-    UNIFORM_RATE_CUTOFF the uniform limit value(x+1) = 2*integral(M)/x + 1
-    is solved instead, so the grid does not depend on the rate there.
+    the stepper against the closed form on (2, 3].  As lam vanishes it tends
+    to the uniform limit value(x+1) = 2*integral(M)/x + 1 without cancelling.
     Rates above ``_max_rate(horizon_n)`` are rejected before stepping.
     """
     if seed_upto not in (2, 3):
@@ -180,14 +178,6 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0
-    if lam < UNIFORM_RATE_CUTOFF:
-        if seed_upto == 3:
-            vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
-        _march(vals, 0.0, seed_upto, [(vals, lambda s, offs: 1.0, False)],
-               lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
-        _check_count_bounds(vals, lam)
-        return SegmentedGrid("M", vals, lam=lam)
-
     if seed_upto == 3:
         vals[2] = 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * offs) / -np.expm1(-lam * (1.0 + offs))
     _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
@@ -215,22 +205,25 @@ def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
             f"too coarse for this rate, a larger --m is needed")
 
 
+def _sinh_weight(lam: float, s: int, offs: np.ndarray) -> np.ndarray:
+    """e^{-lam s} * lam*sinh(lam t) at t = s + offs, with no difference of exponentials."""
+    return -0.5 * lam * np.exp(lam * offs) * np.expm1(-2.0 * lam * (s + offs))
+
+
 def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     """Derivative of the mean count on (0, horizon_n].
 
     The stepping identity divides an accumulated sinh-kernel integral by
     cosh(lam*x) - 1; carried multiplied by exp(-lam*x), the denominator
     becomes expm1(-lam*x)^2 / 2 and every factor stays in [0, lam*e^lam].
-    The jump at x = 2 is kept; later segments join continuously.  Rates
-    above ``_max_rate(horizon_n)`` are rejected before stepping.
+    Its kernels use expm1, so nothing cancels as lam vanishes and the grid
+    tends to the uniform one down to Params' smallest rate.  The jump at
+    x = 2 is kept; later segments join continuously.  Rates above
+    ``_max_rate(horizon_n)`` are rejected before stepping.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
     _check_representable(params)
-    if params.lam < UNIFORM_RATE_CUTOFF:
-        base = solve_uniform_mean_derivative(params.horizon_n, params.resolution_m)
-        return SegmentedGrid("Mprime", base.values, lam=params.lam)
-
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
@@ -238,16 +231,12 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
         vals[2] = lam * np.exp(-lam * offs) * -math.expm1(-2.0 * lam) \
             / np.expm1(-lam * (1.0 + offs)) ** 2
 
-    def sinh_weight(s: int, offs: np.ndarray) -> np.ndarray:
-        # e^{-lam s} * lam*sinh(lam t) on segment s
-        return 0.5 * lam * (np.exp(lam * offs) - np.exp(-lam * (2.0 * s + offs)))
-
     def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
-        seed_term = 0.5 * lam * (np.exp(-lam * (x - 1.0)) - np.exp(-lam * (x + 1.0)))
+        seed_term = -0.5 * lam * np.exp(-lam * (x - 1.0)) * math.expm1(-2.0 * lam)
         denom = 0.5 * np.expm1(-lam * x) ** 2
         return (ints[0] + seed_term) / denom
 
-    _march(vals, lam, seed_upto, [(vals, sinh_weight, True)], close, 3)
+    _march(vals, lam, seed_upto, [(vals, lambda s, offs: _sinh_weight(lam, s, offs), True)], close, 3)
     return SegmentedGrid("Mprime", vals, lam=lam)
 
 
@@ -255,9 +244,10 @@ def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> Segmente
     """Derivative of the mean count for the uniform (vanishing-rate) limit.
 
     value(x+1) = (integral of 2 t f(t) over [1, x] + 2) / x^2, with the jump
-    at x = 2 kept as in the rated solver.
+    at x = 2 kept as in the rated solver, which tends to this grid as lam
+    vanishes.
     """
-    _check_shape(horizon_n, resolution_m)
+    horizon_n, resolution_m = _check_shape(horizon_n, resolution_m)
     vals = np.zeros((horizon_n, resolution_m + 1))
     _march(vals, 0.0, 2, [(vals, lambda s, offs: 2.0 * (s + offs), False)],
            lambda s, x, ints: (ints[0] + 2.0) / x**2, 3)
@@ -273,8 +263,6 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
     the mean, so :func:`_product_grid` computes it at every node once,
     before the march; the march then reads one row of it per segment.
     """
-    if params.lam < UNIFORM_RATE_CUTOFF:
-        raise DomainError("no uniform-limit second-moment recursion; rate below cutoff unsupported")
     if m_grid.kind != "M":
         raise DomainError(f"m_grid must have kind 'M', got {m_grid.kind!r}")
     if (m_grid.lam != params.lam or m_grid.horizon_n != params.horizon_n

@@ -324,16 +324,26 @@ class TestSimulate:
         assert err == "error: length must be below 2**53, got 1e+300\n"
 
     @pytest.mark.parametrize("lam, length, message", [
-        ("1e-7", "20", "error: no uniform-limit second-moment recursion; "
-                       "rate below cutoff unsupported\n"),
         ("1", "1.5", "error: solver variance reference is zero; the count is "
                      "deterministic at this length\n"),
-    ], ids=["below-cutoff", "zero-variance"])
+    ], ids=["zero-variance"])
     def test_zref_failure_comes_before_simulating(self, capsys, no_simulation, lam, length,
                                                   message):
         code, out, err = run_cli(capsys, "simulate", "--lambda", lam, "--length", length,
                                  "--trials", "5", "--zref")
         assert (code, out, err) == (2, "", message)
+
+    def test_zref_below_the_report_cutoff(self, capsys):
+        # the references are the rated solves, which run at every accepted
+        # rate; at length 20 they are 6.5e-14 and 1.7e-13 from those at 1e-6
+        refs = []
+        for lam in ("1e-7", "1e-6"):
+            code, out, _ = run_cli(capsys, "simulate", "--lambda", lam, "--length", "20",
+                                   "--trials", "5", "--zref")
+            assert code == 0
+            payload = json.loads(out)
+            refs.append((payload["zref_mean"], payload["zref_variance"]))
+        assert refs[0] == pytest.approx(refs[1], rel=1e-12)
 
     def test_zero_trials_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,7 @@ from parklab.constants import (
     truncated_laplace,
     variance_slope_bracket,
 )
-from parklab.core import SegmentedGrid
+from parklab.core import _MIN_RATE, SegmentedGrid
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +386,22 @@ class TestReports:
         rep = constants_report(1.0, 0, 64, "crude")
         assert rep.horizon_n == 0
 
+    @pytest.mark.parametrize("lam, n, tail", [(1.0, 0, "crude"), (1.0, 7, "crude"),
+                                              (1e-7, 7, "envelope")],
+                             ids=["step-bound", "rated", "uniform-fallback"])
+    @pytest.mark.parametrize("m", [-5, 0, 3, "abc", 64.0, True])
+    def test_resolution_validated_at_every_horizon(self, lam, n, tail, m):
+        with pytest.raises(DomainError, match="^resolution_m must be an"):
+            constants_report(lam, n, m, tail)
+
+    def test_numpy_horizon_and_resolution(self):
+        rep = constants_report(1.0, np.int64(7), np.int64(16), "crude")
+        assert rep == constants_report(1.0, 7, 16, "crude")
+        assert (type(rep.horizon_n), type(rep.resolution_m)) == (int, int)
+
 
 class TestSmallestRate:
-    LIMIT = constants._MIN_TAIL_RATE
+    LIMIT = _MIN_RATE
 
     def test_limit_keeps_the_step_bound_denominators_normal(self):
         # the tails divide by (1 - e^-lam)^2; the second moment's is 2/lam^2 - 1/lam at n = 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
-from parklab.constants import crude_mean_tail
+from parklab.constants import crude_mean_tail, envelope_mean_tail
 from parklab.core import (
     _node_offsets,
     _panel_weight_table,
@@ -107,6 +107,28 @@ class TestParams:
         p = Params(1.0)
         assert (p.horizon_n, p.resolution_m) == (7, 256)
 
+    def test_smallest_rate(self):
+        # below 2^-511 the derivative recursion's expm1(-lam*x)^2 is no longer normal
+        assert Params(2.0**-511).lam == 2.0**-511
+        lam = math.nextafter(2.0**-511, 0.0)
+        with pytest.raises(DomainError, match=f"^rate lam={lam!r} is below {2.0**-511!r}, "):
+            Params(lam)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        p = Params(np.float32(1.0), np.int64(7), np.int64(64))
+        assert [type(v) for v in (p.lam, p.horizon_n, p.resolution_m)] == [float, int, int]
+        assert p == Params(1.0, 7, 64)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, True), "horizon_n must be an integer, got bool True"),
+        ((1.0, 7.0), "horizon_n must be an integer, got float 7.0"),
+        ((1.0, 7, True), "resolution_m must be an integer, got bool True"),
+        ((1.0, 7, "64"), "resolution_m must be an integer, got str '64'"),
+    ])
+    def test_a_wrong_type_is_named(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Params(*args)
+
 
 class TestCheckRate:
     ENTRY_POINTS = [
@@ -127,6 +149,27 @@ class TestCheckRate:
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_numpy_floats_pass(self, entry):
         entry(np.float64(1.0))
+
+    @pytest.mark.parametrize("entry", [
+        lambda lam: (Params(lam, 7, 16).lam,),
+        lambda lam: (SimConfig(lam, 5.0, 10).lam,),
+        lambda lam: (mean_closed(2.5, lam),),
+        lambda lam: (mean_derivative_closed(2.5, lam),),
+        lambda lam: (crude_mean_tail(lam, 3).lo, crude_mean_tail(lam, 3).hi),
+        lambda lam: (envelope_mean_tail(lam, 3, 2.0, 0.7, 0.8).lo,
+                     envelope_mean_tail(lam, 3, 2.0, 0.7, 0.8).hi),
+        lambda lam: (constants_report(lam, 0, 64, "crude").lam,
+                     *constants_report(lam, 0, 64, "crude").endpoints),
+        lambda lam: (constants_report(lam, 3, 16, "crude").lam,
+                     *constants_report(lam, 3, 16, "crude").endpoints),
+    ])
+    def test_numpy_scalars_run_as_python_floats(self, entry):
+        # a float32 rate is converted before any arithmetic, so it gives the
+        # results of the equal Python float, not float32-rounded ones
+        for value in (np.float32(0.1), np.int64(1), np.float16(0.3)):
+            got = entry(value)
+            assert got == entry(float(value))
+            assert all(type(v) is float for v in got)
 
 
 class TestBracket:

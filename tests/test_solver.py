@@ -21,6 +21,7 @@ from parklab import (
 )
 from parklab.core import (
     _interp_segment,
+    _node_offsets,
     _panel_weights,
     lower_count_bound,
     mean_closed,
@@ -163,18 +164,6 @@ class TestSolveMean:
         p = Params(1.7, 6, 64)
         assert np.array_equal(solve_mean(p).values, solve_mean(p).values)
 
-    def test_uniform_substitution_below_cutoff(self):
-        g = solve_mean(Params(1e-8, 5, 64))
-        assert g.kind == "M"
-        # below the cutoff the grids are the uniform limit's, whatever the rate
-        other = Params(5e-7, 5, 64)
-        assert np.array_equal(g.values, solve_mean(other).values)
-        assert np.array_equal(solve_mean_derivative(Params(1e-8, 5, 64)).values,
-                              solve_mean_derivative(other).values)
-        # the substituted solution still matches the vanishing-rate closed form
-        ref = np.array([mean_closed(x, 1e-8) for x in g.x_nodes(2)])
-        assert np.max(np.abs(g.values[2] - ref)) <= 1e-7
-
     def test_against_high_precision_reference(self):
         # frozen values from an independent 30-digit stepper (adaptive
         # quadrature on the same recursion, exact closed-form seeds)
@@ -309,10 +298,17 @@ class TestSolveSecondMoment:
         with pytest.raises(DomainError):
             solve_second_moment(Params(1.0, 6, 64), gm)
 
-    def test_rejects_below_rate_cutoff(self):
-        g = solve_mean(Params(1e-8, 5, 64))
-        with pytest.raises(DomainError):
-            solve_second_moment(Params(1e-8, 5, 64), g)
+    def test_variance_settles_below_the_report_cutoff(self):
+        # the rated recursion is stepped at every accepted rate; its variance
+        # differs from the one at 1e-6 by rounding only (8.5e-14 measured)
+        def variance(lam):
+            p = Params(lam, 12, 64)
+            gm = solve_mean(p)
+            return solve_second_moment(p, gm).values - gm.values**2
+
+        ref = variance(1e-6)
+        for lam in (1e-7, 1e-9, 1e-150, 2.0**-511):
+            assert np.max(np.abs(variance(lam) - ref)) <= 1e-13
 
     def test_against_high_precision_reference(self):
         # frozen values from a 30-digit adaptive-quadrature evaluation of the
@@ -603,6 +599,57 @@ class TestSolveUniform:
             solve_uniform_mean_derivative(2, 64)
         with pytest.raises(DomainError):
             solve_uniform_mean_derivative(5, 63)
+
+
+def _uniform_mean_grid(n, m):
+    """The uniform limit's mean, a test-only oracle: value(x+1) =
+    2*integral(M)/x + 1, seeded on (2, 3] with its closed form 1 + 2t/(1+t)."""
+    offs = _node_offsets(m)
+    vals = np.zeros((n, m + 1))
+    vals[1] = 1.0
+    vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
+    solver._march(vals, 0.0, 3, [(vals, lambda s, offs: 1.0, False)],
+                  lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
+    return vals
+
+
+class TestVanishingRate:
+    @pytest.mark.parametrize("n, m", [(7, 2), (7, 64), (16, 2), (16, 64)])
+    @pytest.mark.parametrize("solve, uniform", [
+        (solve_mean, _uniform_mean_grid),
+        (solve_mean_derivative, lambda n, m: solve_uniform_mean_derivative(n, m).values),
+    ], ids=["M", "Mprime"])
+    def test_rated_grids_tend_to_the_uniform_ones(self, solve, uniform, n, m):
+        # rated - uniform = lam^2 * D + O(lam^4): the first-order term
+        # vanishes.  D, read off at lam = 1e-4, is at most 1/6 for M' (its
+        # right limit at 2 is 2 + lam^2/6) and 0.0185 relative for M; past
+        # the lam^2 term what is left is rounding, not cancellation
+        u = uniform(n, m)
+        scale = np.maximum(1.0, np.abs(u))
+        d = (solve(Params(1e-4, n, m)).values - u) / 1e-8
+        assert np.max(np.abs(d) / scale) <= 0.2
+        for lam in (2.0**-511, 1e-150, 1e-9, 1e-7, 9.9e-7):
+            rest = solve(Params(lam, n, m)).values - u - lam**2 * d
+            assert np.max(np.abs(rest) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [1e-9, 0.05, 1.0, 30.0])
+    def test_sinh_weight_to_two_ulp(self, lam):
+        # e^{-lam s} * lam*sinh(lam t) at t = s + offs, against 50 digits; the
+        # two-exp difference it replaced missed by 1.6e10 ulp at lam=1e-9
+        mpmath = pytest.importorskip("mpmath")
+        offs = _node_offsets(64)
+        old_misses = False
+        with mpmath.workdps(50):
+            for s in (0, 1, 2, 5, 12):
+                new = solver._sinh_weight(lam, s, offs)
+                old = 0.5 * lam * (np.exp(lam * offs) - np.exp(-lam * (2.0 * s + offs)))
+                for t, a, b in zip(offs, new, old):
+                    rate = mpmath.mpf(lam)
+                    ref = mpmath.exp(-rate * s) * rate * mpmath.sinh(rate * (s + mpmath.mpf(t)))
+                    ulp = np.finfo(float).eps * abs(ref)
+                    assert abs(a - ref) <= 2.0 * ulp
+                    old_misses |= bool(abs(b - ref) > 2.0 * ulp)
+        assert old_misses == (lam < 30.0)
 
 
 def _refinement_rate(build):
