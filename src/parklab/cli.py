@@ -1,6 +1,12 @@
 """Command-line surface: solution tables, constants reports, rate sweeps,
 simulation runs, and the validation suite.
 
+The parser only parses; the library checks every value, and a DomainError
+exits 2 with ``error: <message>``, the message naming the library's parameter
+(``--lambda`` is ``rate lam``, ``--n`` is ``horizon_n``, ``--m`` is
+``resolution_m``).  Each input is checked before anything is solved or
+simulated.
+
 Exit codes: 0 success, 1 validation failure, 2 usage error.  CSV uses comma
 separators and LF line endings; numeric fields carry 17 significant digits so
 re-runs are byte-stable.
@@ -20,65 +26,11 @@ from . import constants as _constants
 from . import montecarlo as _mc
 from . import solver as _solver
 from . import validation as _validation
-from .core import DomainError, Params
+from .core import GRID_KINDS, TAIL_METHODS, DomainError, Params, _check_int, _check_rate
 
 __all__ = ["main", "build_parser"]
 
 _FMT = "%.17g"
-
-
-def _rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"rate must be finite and > 0, got {text}")
-    return value
-
-
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-
-
-def _even_resolution(text: str) -> int:
-    value = _int(text)
-    if value < 2 or value % 2 != 0:
-        raise argparse.ArgumentTypeError(
-            f"resolution m must be an even integer >= 2, got {value}")
-    return value
-
-
-def _horizon(text: str) -> int:
-    value = _int(text)
-    if value != 0 and value < 3:
-        raise argparse.ArgumentTypeError(
-            f"horizon n must be 0 (pure tail bounds) or >= 3, got {value}")
-    return value
-
-
-def _solve_horizon(text: str) -> int:
-    value = _horizon(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("tables need a solved horizon n >= 3")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,33 +41,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="print a solved grid as CSV")
-    p_table.add_argument("--lambda", dest="lam", type=_rate,
+    p_table.add_argument("--lambda", dest="lam", type=float,
                          help="placement rate (ignored for uniformMprime)")
-    p_table.add_argument("--kind", required=True,
-                         choices=["M", "Mprime", "M2", "uniformMprime"])
-    p_table.add_argument("--n", type=_solve_horizon, default=7)
-    p_table.add_argument("--m", type=_even_resolution, default=256)
+    p_table.add_argument("--kind", required=True, choices=GRID_KINDS)
+    p_table.add_argument("--n", type=int, default=7)
+    p_table.add_argument("--m", type=int, default=256)
 
     p_const = sub.add_parser("constants", help="bracket the asymptotic constants as JSON")
-    p_const.add_argument("--lambda", dest="lam", type=_rate, required=True)
-    p_const.add_argument("--n", type=_horizon, default=7)
-    p_const.add_argument("--m", type=_even_resolution, default=256)
-    p_const.add_argument("--tail", choices=["crude", "envelope"], default="envelope")
+    p_const.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_const.add_argument("--n", type=int, default=7)
+    p_const.add_argument("--m", type=int, default=256)
+    p_const.add_argument("--tail", choices=TAIL_METHODS, default="envelope")
 
     p_sweep = sub.add_parser("sweep", help="constants over a rate range as CSV")
-    p_sweep.add_argument("--lambda-min", dest="lam_min", type=_rate, required=True)
-    p_sweep.add_argument("--lambda-max", dest="lam_max", type=_rate, required=True)
-    p_sweep.add_argument("--steps", type=_positive_int, required=True)
-    p_sweep.add_argument("--n", type=_horizon, default=7)
-    p_sweep.add_argument("--m", type=_even_resolution, default=256)
-    p_sweep.add_argument("--tail", choices=["crude", "envelope"], default=None,
+    p_sweep.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
+    p_sweep.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
+    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--n", type=int, default=7)
+    p_sweep.add_argument("--m", type=int, default=256)
+    p_sweep.add_argument("--tail", choices=TAIL_METHODS, default=None,
                          help="override the default switch to crude tails at rate 3")
 
     p_sim = sub.add_parser("simulate", help="run the parking simulation, JSON summary")
-    p_sim.add_argument("--lambda", dest="lam", type=_rate, required=True)
+    p_sim.add_argument("--lambda", dest="lam", type=float, required=True)
     p_sim.add_argument("--length", type=float, required=True)
-    p_sim.add_argument("--trials", type=_positive_int, required=True)
-    p_sim.add_argument("--seed", type=_seed, default=0)
+    p_sim.add_argument("--trials", type=int, required=True)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--zref", action="store_true",
                        help="also standardize against solver mean/variance")
 
@@ -129,6 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_table(args) -> int:
     if args.kind == "uniformMprime":
+        if args.lam is not None:  # ignored, but still a rate
+            _check_rate(args.lam)
         grid = _solver.solve_uniform_mean_derivative(args.n, args.m)
     else:
         if args.lam is None:
@@ -160,6 +113,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_rate(args.lam_min, solvable=True)
+    _check_rate(args.lam_max)  # solved only if steps > 1, and then above lam_min
+    _check_int("steps", args.steps, lambda s: s >= 1, "an integer >= 1")
     if args.lam_min >= args.lam_max and args.steps > 1:
         print("error: --lambda-min must be below --lambda-max", file=sys.stderr)
         return 2

@@ -40,6 +40,7 @@ from .core import (
     DomainError,
     Params,
     SegmentedGrid,
+    TAIL_METHODS,
     _check_int,
     _check_rate,
     _check_resolution,
@@ -71,8 +72,7 @@ class TailBound(Bracket):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise DomainError(f"truncation point must be an integer >= 0, got {self.n!r}")
+        object.__setattr__(self, "n", _check_truncation(self.n))
 
 
 def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
@@ -107,7 +107,7 @@ def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
 
 def crude_mean_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam * mean * e^(-lam*x), x = n..inf)."""
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     one_q2 = -math.expm1(-2.0 * lam)
@@ -119,7 +119,7 @@ def crude_mean_tail(lam: float, n: int) -> TailBound:
 
 def crude_xmean_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam^2 * x * mean * e^(-lam*x), n..inf)."""
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     big_q = q * q
@@ -135,7 +135,7 @@ def crude_xmean_tail(lam: float, n: int) -> TailBound:
 
 def crude_second_moment_tail(lam: float, n: int) -> TailBound:
     """Bounds on the tail of integral(lam * second_moment * e^(-lam*x), n..inf)."""
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     q = math.exp(-lam)
     one_q = -math.expm1(-lam)
     big_q = q * q
@@ -156,18 +156,19 @@ def crude_width_formula(lam: float, n: int) -> float:
     bracket construction must reproduce it to machine precision.  The leading
     term is floor(n/2)*e^(-lam*n), so the width decays like n*e^(-lam*n).
     """
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     one_bq = -math.expm1(-2.0 * lam)
     j_even = n + 2 if n % 2 == 0 else n + 1  # first even > n
     gap = math.floor(n / 2) * math.exp(-lam * n) + math.exp(-lam * j_even) / one_bq
     return lam / (lam + 1.0) * gap
 
 
-def _check_tail_args(lam: float, n: int) -> float:
-    lam = _check_rate(lam, solvable=True)
-    if not (isinstance(n, int) and n >= 0):
-        raise DomainError(f"truncation point must be an integer >= 0, got {n!r}")
-    return lam
+def _check_truncation(n: int) -> int:
+    return _check_int("truncation point", n, lambda n: n >= 0, "an integer >= 0")
+
+
+def _check_tail_args(lam: float, n: int) -> tuple[float, int]:
+    return _check_rate(lam, solvable=True), _check_truncation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def envelope_mean_tail(
     integral(lam^2 * x * mean * e^(-lam*x)).  Closed forms are elementary
     exponential-polynomial integrals, oracle-checked in the tests.
     """
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(
             f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
@@ -218,7 +219,7 @@ def envelope_second_moment_tail(
     moment is at most floor(x) times the mean's upper envelope; that side
     reuses the floor-tail series.
     """
-    lam = _check_tail_args(lam, n)
+    lam, n = _check_tail_args(lam, n)
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(
             f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
@@ -404,13 +405,13 @@ def constants_report(
     same either way, and so are the errors: the coarse report raises first,
     and a DomainError raised in the worker comes back unchanged.
     """
-    if tail_method not in ("crude", "envelope"):
+    if tail_method not in TAIL_METHODS:
         raise DomainError(f"unknown tail method {tail_method!r}")
     horizon_n = _check_int("horizon_n", horizon_n, lambda n: n == 0 or n >= 3, "0 or an integer >= 3")
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
     resolution_m = _check_resolution(resolution_m)
-    lam = _check_tail_args(lam, horizon_n)
+    lam = _check_rate(lam, solvable=True)
 
     if with_halving_delta:
         half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)

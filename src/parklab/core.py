@@ -25,6 +25,7 @@ __all__ = [
     "SegmentedGrid",
     "ConstantsReport",
     "GRID_KINDS",
+    "TAIL_METHODS",
     "mean_closed",
     "mean_derivative_closed",
     "upper_count_bound",
@@ -37,6 +38,7 @@ class DomainError(ValueError):
 
 
 GRID_KINDS = ("M", "Mprime", "M2", "uniformMprime")
+TAIL_METHODS = ("crude", "envelope")
 
 # The smallest rate Params and the tails accept: the derivative recursion
 # divides by expm1(-lam*x)^2 and the step-bound tails by (1 - e^-lam)^2,
@@ -294,7 +296,7 @@ class ConstantsReport:
     uniform_fallback: bool = False
 
     def __post_init__(self) -> None:
-        if self.tail_method not in ("crude", "envelope"):
+        if self.tail_method not in TAIL_METHODS:
             raise DomainError(f"unknown tail method {self.tail_method!r}")
         if self.tail_method == "envelope":
             if self.envelope_inf is None or self.envelope_sup is None:

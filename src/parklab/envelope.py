@@ -9,7 +9,7 @@ what certifies linear envelopes for the Laplace-integral tails.
 
 from __future__ import annotations
 
-from .core import DomainError, SegmentedGrid
+from .core import DomainError, SegmentedGrid, _check_int
 
 __all__ = ["NESTING_TOL", "window_extrema", "check_nesting"]
 
@@ -25,8 +25,8 @@ def window_extrema(grid: SegmentedGrid, n: int) -> tuple[float, float]:
     """
     if grid.kind not in ("Mprime", "uniformMprime"):
         raise DomainError(f"window extrema are defined for derivative grids, got {grid.kind!r}")
-    if not (isinstance(n, int) and 3 <= n <= grid.horizon_n):
-        raise DomainError(f"window index must satisfy 3 <= n <= {grid.horizon_n}, got {n!r}")
+    h = grid.horizon_n
+    n = _check_int("window index n", n, lambda n: 3 <= n <= h, f"an integer with 3 <= n <= {h}")
     seg = grid.values[n - 1]
     return float(seg.min()), float(seg.max())
 
@@ -38,9 +38,9 @@ def check_nesting(grid: SegmentedGrid, from_n: int, to_n: int) -> list[bool]:
     n = from_n + i.  A False pinpoints either a solver defect or a kernel
     violating the nonnegativity the nesting proof needs.
     """
-    if not (3 <= from_n < to_n <= grid.horizon_n):
-        raise DomainError(
-            f"need 3 <= from_n < to_n <= {grid.horizon_n}, got from_n={from_n}, to_n={to_n}")
+    h = grid.horizon_n
+    from_n = _check_int("from_n", from_n, lambda f: 3 <= f < h, f"an integer with 3 <= from_n < {h}")
+    to_n = _check_int("to_n", to_n, lambda t: from_n < t <= h, f"an integer with {from_n} < to_n <= {h}")
     results = []
     lo_prev, hi_prev = window_extrema(grid, from_n)
     for n in range(from_n + 1, to_n + 1):

@@ -33,6 +33,7 @@ from .core import (
     DomainError,
     Params,
     SegmentedGrid,
+    _check_int,
     _check_shape,
     _count_bounds,
     _cumulative,
@@ -63,8 +64,8 @@ def integrate_weighted(
     ``weight`` must accept an ndarray of abscissae.
     """
     n, m = grid.horizon_n, grid.resolution_m
-    if not (isinstance(a, int) and isinstance(b, int) and 0 <= a <= b <= n):
-        raise DomainError(f"integration range [{a}, {b}] needs integer ends in [0, {n}]")
+    a = _check_int("integration start a", a, lambda a: 0 <= a <= n, f"an integer in [0, {n}]")
+    b = _check_int("integration end b", b, lambda b: a <= b <= n, f"an integer in [{a}, {n}]")
     w = _panel_weight_table(m)[m]
     total = 0.0
     for k in range(a, b):

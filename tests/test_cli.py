@@ -35,6 +35,71 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+# Inputs outside the library's domain, and text that is not a number: each
+# exits 2 with one error line and prints nothing, before anything is solved
+# or simulated.  The parser reports what it cannot parse after its usage line.
+_RATE = "error: rate lam must be finite and > 0, got "
+_EVEN_M = "error: resolution_m must be an even integer >= 2, got "
+_REJECTED = {
+    "table-rate-zero": ("table --lambda 0 --kind M", _RATE + "0.0"),
+    "table-rate-nan": ("table --lambda nan --kind M", _RATE + "nan"),
+    "table-rate-text": ("table --lambda abc --kind M",
+                        "parklab table: error: argument --lambda: invalid float value: 'abc'"),
+    "table-uniform-rate": ("table --kind uniformMprime --lambda -1", _RATE + "-1.0"),
+    "table-n-zero": ("table --lambda 1 --kind M --n 0",
+                     "error: horizon_n must be an integer >= 3, got 0"),
+    "table-uniform-n": ("table --kind uniformMprime --n 2",
+                        "error: horizon_n must be an integer >= 3, got 2"),
+    "table-m-odd": ("table --lambda 1 --kind M --n 3 --m 3", _EVEN_M + "3"),
+    "table-uniform-m": ("table --kind uniformMprime --m 0", _EVEN_M + "0"),
+    "table-m-text": ("table --lambda 1 --kind M --m x",
+                     "parklab table: error: argument --m: invalid int value: 'x'"),
+    "constants-rate-inf": ("constants --lambda inf", _RATE + "inf"),
+    "constants-rate-negative": ("constants --lambda -2", _RATE + "-2.0"),
+    "constants-n-two": ("constants --lambda 1 --n 2",
+                        "error: horizon_n must be 0 or an integer >= 3, got 2"),
+    "constants-m-odd": ("constants --lambda 1 --m 5", _EVEN_M + "5"),
+    "constants-n-text": ("constants --lambda 1 --n 2.5",
+                         "parklab constants: error: argument --n: invalid int value: '2.5'"),
+    "sweep-min-zero": ("sweep --lambda-min 0 --lambda-max 1 --steps 2", _RATE + "0.0"),
+    "sweep-max-negative": ("sweep --lambda-min 1 --lambda-max -1 --steps 2", _RATE + "-1.0"),
+    "sweep-max-inf": ("sweep --lambda-min 1 --lambda-max inf --steps 1", _RATE + "inf"),
+    "sweep-steps-zero": ("sweep --lambda-min 1 --lambda-max 2 --steps 0",
+                         "error: steps must be an integer >= 1, got 0"),
+    "sweep-n-one": ("sweep --lambda-min 1 --lambda-max 2 --steps 2 --n 1",
+                    "error: horizon_n must be 0 or an integer >= 3, got 1"),
+    "sweep-m-odd": ("sweep --lambda-min 1 --lambda-max 2 --steps 2 --m 7", _EVEN_M + "7"),
+    "simulate-rate-zero": ("simulate --lambda 0 --length 3 --trials 1", _RATE + "0.0"),
+    "simulate-trials-zero": ("simulate --lambda 1 --length 3 --trials 0",
+                             "error: trials must be an integer >= 1, got 0"),
+    "simulate-seed-negative": ("simulate --lambda 1 --length 3 --trials 1 --seed -1",
+                               "error: seed must be a 64-bit unsigned integer, got -1"),
+    "simulate-seed-65-bits": ("simulate --lambda 1 --length 3 --trials 1 --seed 18446744073709551616",
+                              "error: seed must be a 64-bit unsigned integer, "
+                              "got 18446744073709551616"),
+    "simulate-trials-text": ("simulate --lambda 1 --length 3 --trials 2.5",
+                             "parklab simulate: error: argument --trials: invalid int value: '2.5'"),
+}
+
+
+@pytest.mark.parametrize("argv, line", _REJECTED.values(), ids=_REJECTED.keys())
+def test_rejected_before_anything_is_solved(monkeypatch, capsys, argv, line):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or simulated before rejecting the input")
+
+    # _march steps every grid, solve_uniform_mean_derivative's after its own input check
+    for module, name in [(parklab.solver, "solve_mean"), (parklab.solver, "_march"),
+                         (parklab.montecarlo, "run_mc")]:
+        monkeypatch.setattr(module, name, refuse)
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == line + "\n" or (err.startswith("usage: ") and err.endswith("\n" + line + "\n"))
+
+
 class TestTable:
     def test_closed_form_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--lambda", "1", "--kind", "M",
@@ -84,12 +149,6 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "lam=300 with m=8" in err and "larger --m" in err
-
-    def test_odd_resolution_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["table", "--lambda", "1", "--kind", "M", "--n", "3", "--m", "3"])
-        assert exc.value.code == 2
-        assert "even" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "table", "--lambda", "0.5", "--kind", "M2",
@@ -148,11 +207,6 @@ class TestConstants:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["constants", "--lambda", "1", "--bogus", "2"])
-        assert exc.value.code == 2
-
-    def test_bad_horizon_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["constants", "--lambda", "1", "--n", "2"])
         assert exc.value.code == 2
 
 
@@ -344,11 +398,6 @@ class TestSimulate:
             payload = json.loads(out)
             refs.append((payload["zref_mean"], payload["zref_variance"]))
         assert refs[0] == pytest.approx(refs[1], rel=1e-12)
-
-    def test_zero_trials_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--lambda", "1", "--length", "3", "--trials", "0"])
-        assert exc.value.code == 2
 
 
 class TestValidate:

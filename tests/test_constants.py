@@ -116,6 +116,33 @@ class TestCrudeTails:
         with pytest.raises(DomainError, match="truncation point"):
             TailBound(1.0, 2.0, -1)
 
+    TAILS = [
+        crude_mean_tail, crude_xmean_tail, crude_second_moment_tail, crude_width_formula,
+        lambda lam, n: envelope_mean_tail(lam, n, 5.3, 0.7, 0.81, power=1),
+        lambda lam, n: envelope_second_moment_tail(lam, n, 5.3, 0.7, 0.81),
+    ]
+
+    TAIL_IDS = ["crude_mean", "crude_xmean", "crude_second_moment", "crude_width",
+                "envelope_xmean", "envelope_second_moment"]
+
+    @pytest.mark.parametrize("tail", TAILS, ids=TAIL_IDS)
+    def test_numpy_truncation_point_reads_as_a_python_int(self, tail):
+        assert tail(1.0, np.int64(7)) == tail(1.0, np.uint8(7)) == tail(1.0, 7)
+
+    @pytest.mark.parametrize("tail", TAILS, ids=TAIL_IDS)
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_bool_and_float_truncation_points_rejected(self, tail, n):
+        with pytest.raises(DomainError, match=f"^truncation point must be an integer, got "
+                                              f"{type(n).__name__} {n!r}$"):
+            tail(1.0, n)
+
+    def test_tail_bound_truncation_point(self):
+        t = TailBound(1.0, 2.0, np.int64(3))
+        assert t == TailBound(1.0, 2.0, 3) and type(t.n) is int
+        for n in (True, 3.0):
+            with pytest.raises(DomainError, match="^truncation point must be an integer, got "):
+                TailBound(1.0, 2.0, n)
+
 
 class TestEnvelopeTails:
     CASES = [(1.0, 7, 5.3, 0.70, 0.81), (0.3, 5, 3.1, 0.6, 0.9), (2.5, 7, 6.6, 0.5, 1.0)]

@@ -36,6 +36,23 @@ def test_window_index_validation():
         check_nesting(g, 4, 4)
 
 
+def test_numpy_window_indices_read_as_python_ints():
+    g = solve_uniform_mean_derivative(7, 32)
+    assert window_extrema(g, np.int64(4)) == window_extrema(g, 4)
+    assert check_nesting(g, np.int64(3), np.int32(7)) == check_nesting(g, 3, 7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: window_extrema(g, True), "window index n must be an integer, got bool True"),
+    (lambda g: window_extrema(g, 4.0), "window index n must be an integer, got float 4.0"),
+    (lambda g: check_nesting(g, True, 7), "from_n must be an integer, got bool True"),
+    (lambda g: check_nesting(g, 3, 7.0), "to_n must be an integer, got float 7.0"),
+], ids=["extrema-bool", "extrema-float", "nesting-bool", "nesting-float"])
+def test_bool_and_float_window_indices_rejected(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(solve_uniform_mean_derivative(7, 32))
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_nesting_holds_for_rated_grids(lam):
     g = solve_mean_derivative(Params(lam, 7, 256))

@@ -76,6 +76,21 @@ class TestIntegrateWeighted:
         with pytest.raises(DomainError):
             integrate_weighted(g, lambda t: t, 0.5, 2)  # panels are whole segments
 
+    def test_numpy_ends_read_as_python_ints(self):
+        g = _closed_mean_grid()
+        weight = lambda t: np.exp(-t)
+        assert (integrate_weighted(g, weight, np.int64(0), np.int32(3))
+                == integrate_weighted(g, weight, 0, 3))
+
+    @pytest.mark.parametrize("a, b, message", [
+        (True, 3, "integration start a must be an integer, got bool True"),
+        (0, True, "integration end b must be an integer, got bool True"),
+        (0, 3.0, "integration end b must be an integer, got float 3.0"),
+    ])
+    def test_bool_and_float_ends_rejected(self, a, b, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            integrate_weighted(_const_grid(), lambda t: t, a, b)
+
     @settings(max_examples=40, deadline=None)
     @given(
         coeffs=st.tuples(*[st.floats(-3, 3) for _ in range(4)]),
