@@ -119,14 +119,15 @@ def _cmd_sweep(args) -> int:
     if args.lam_min >= args.lam_max and args.steps > 1:
         print("error: --lambda-min must be below --lambda-max", file=sys.stderr)
         return 2
-    lams = np.linspace(args.lam_min, args.lam_max, args.steps)
-    # every rate is solved before anything is written, so a failure prints no partial table
-    rows = ["lambda,c_lo,c_hi,b_lo,b_hi,d_lo,d_hi,method\n"]
-    for lam in lams:
+    # All rates are solved before anything is written, largest first: the solvers'
+    # ceiling and a too-coarse --m reject the largest rate first, so a failing
+    # sweep fails on its first report.
+    rows = []
+    for lam in np.linspace(args.lam_min, args.lam_max, args.steps)[::-1]:
         method = args.tail or ("envelope" if lam < 3.0 else "crude")
         rep = _constants.constants_report(float(lam), args.n, args.m, method)
         rows.append(",".join(_FMT % v for v in [lam, *rep.endpoints]) + f",{method}\n")
-    sys.stdout.write("".join(rows))
+    sys.stdout.write("lambda,c_lo,c_hi,b_lo,b_hi,d_lo,d_hi,method\n" + "".join(rows[::-1]))
     return 0
 
 

@@ -47,6 +47,25 @@ TAIL_METHODS = ("crude", "envelope")
 # overflows under ~1.05e-154, and the square is zero under ~1.5e-162.
 _MIN_RATE = 2.0 ** -511
 
+# _cumulative's interior cubic stencil forms 13*f + 13*g before it divides by 24.
+_STENCIL_GAIN = 26.0
+
+
+def _max_rate(horizon_n: int) -> float:
+    """Largest rate whose weighted samples the solvers can represent.
+
+    A kernel factor reaches lam*e^lam (see solver._march), the samples it
+    weights are at most n^2 (the second moment of a count of at most n), and
+    the cubic stencil multiplies their product by up to _STENCIL_GAIN, so the
+    limit solves lam + log(lam) = log(max float) - log(_STENCIL_GAIN * n^2),
+    here by Newton's method.
+    """
+    target = math.log(np.finfo(float).max) - math.log(_STENCIL_GAIN * horizon_n**2)
+    lam = target
+    for _ in range(6):
+        lam -= (lam + math.log(lam) - target) / (1.0 + 1.0 / lam)
+    return lam
+
 
 def _check_kind(name: str, value: object, integer: bool = False, need: str = ""):
     """``value`` as a Python int (or, unless integer, float), numpy scalars
@@ -96,7 +115,7 @@ def _check_shape(horizon_n: int, resolution_m: int) -> tuple[int, int]:
 class Params:
     """Validated solver inputs, stored as Python numbers.
 
-    lam          placement rate, from _MIN_RATE = 2^-511 to solver._max_rate(n)
+    lam          placement rate, from _MIN_RATE = 2^-511 to _max_rate(horizon_n)
     horizon_n    number of unit segments to solve, >= 3
     resolution_m subintervals per unit segment, even and >= 2
     """
@@ -110,6 +129,10 @@ class Params:
         n, m = _check_shape(self.horizon_n, self.resolution_m)
         object.__setattr__(self, "horizon_n", n)
         object.__setattr__(self, "resolution_m", m)
+        if self.lam > (limit := _max_rate(n)):
+            raise DomainError(
+                f"rate lam={self.lam:.17g} is above {limit:.17g}, the largest the solvers can "
+                f"step to n={n}: the kernel factor lam*e^lam would overflow")
 
 
 @dataclass(frozen=True)
@@ -163,8 +186,10 @@ class SegmentedGrid:
         if self.kind == "uniformMprime":
             if self.lam is not None:
                 raise DomainError("uniform grids carry no rate")
-        elif self.lam is None or not (self.lam > 0):
+        elif self.lam is None:
             raise DomainError(f"grid of kind {self.kind!r} needs a positive rate")
+        else:
+            object.__setattr__(self, "lam", _check_rate(self.lam))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -23,7 +23,6 @@ as vectors, in the order a panel-by-panel sum would take.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable
 
 import numpy as np
@@ -38,6 +37,7 @@ from .core import (
     _count_bounds,
     _cumulative,
     _interp_segment,
+    _max_rate,  # re-exported: the solvers' rate ceiling, which Params enforces
     _node_offsets,
     _panel_weight_table,
 )
@@ -121,35 +121,6 @@ def _march(
                  for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
 
 
-# The interior cubic stencil of core._cumulative forms 13*f + 13*g before it
-# divides by 24.
-_STENCIL_GAIN = 26.0
-
-
-def _max_rate(horizon_n: int) -> float:
-    """Largest rate whose weighted samples the solvers can represent.
-
-    A kernel factor reaches lam*e^lam (see _march), the samples it weights
-    are at most n^2 (the second moment of a count of at most n), and the cubic
-    stencil multiplies their product by up to _STENCIL_GAIN, so the limit
-    solves lam + log(lam) = log(max float) - log(_STENCIL_GAIN * n^2), here
-    by Newton's method.
-    """
-    target = math.log(sys.float_info.max) - math.log(_STENCIL_GAIN * horizon_n**2)
-    lam = target
-    for _ in range(6):
-        lam -= (lam + math.log(lam) - target) / (1.0 + 1.0 / lam)
-    return lam
-
-
-def _check_representable(params: Params) -> None:
-    limit = _max_rate(params.horizon_n)
-    if params.lam > limit:
-        raise DomainError(
-            f"rate lam={params.lam:.17g} is above {limit:.17g}, the largest the solvers can "
-            f"step to n={params.horizon_n}: the kernel factor lam*e^lam would overflow")
-
-
 def _exp_kernels(rows: np.ndarray, lam: float) -> list[_Kernel]:
     """The mean recursion's direct and convolution kernels over ``rows``.
 
@@ -170,11 +141,9 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     integrals run over already-complete segments.  ``seed_upto=2`` exercises
     the stepper against the closed form on (2, 3].  As lam vanishes it tends
     to the uniform limit value(x+1) = 2*integral(M)/x + 1 without cancelling.
-    Rates above ``_max_rate(horizon_n)`` are rejected before stepping.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
-    _check_representable(params)
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
@@ -219,12 +188,10 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
     becomes expm1(-lam*x)^2 / 2 and every factor stays in [0, lam*e^lam].
     Its kernels use expm1, so nothing cancels as lam vanishes and the grid
     tends to the uniform one down to Params' smallest rate.  The jump at
-    x = 2 is kept; later segments join continuously.  Rates above
-    ``_max_rate(horizon_n)`` are rejected before stepping.
+    x = 2 is kept; later segments join continuously.
     """
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
-    _check_representable(params)
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))

@@ -40,6 +40,8 @@ def parse_csv(text):
 # or simulated.  The parser reports what it cannot parse after its usage line.
 _RATE = "error: rate lam must be finite and > 0, got "
 _EVEN_M = "error: resolution_m must be an even integer >= 2, got "
+_CEILING = ("error: rate lam=710 is above {}, the largest the solvers can step to n={}: "
+            "the kernel factor lam*e^lam would overflow")
 _REJECTED = {
     "table-rate-zero": ("table --lambda 0 --kind M", _RATE + "0.0"),
     "table-rate-nan": ("table --lambda nan --kind M", _RATE + "nan"),
@@ -52,6 +54,7 @@ _REJECTED = {
                         "error: horizon_n must be an integer >= 3, got 2"),
     "table-m-odd": ("table --lambda 1 --kind M --n 3 --m 3", _EVEN_M + "3"),
     "table-uniform-m": ("table --kind uniformMprime --m 0", _EVEN_M + "0"),
+    "table-above-ceiling": ("table --lambda 710 --kind M", _CEILING.format("696.0873209436611", 7)),
     "table-m-text": ("table --lambda 1 --kind M --m x",
                      "parklab table: error: argument --m: invalid int value: 'x'"),
     "constants-rate-inf": ("constants --lambda inf", _RATE + "inf"),
@@ -59,6 +62,8 @@ _REJECTED = {
     "constants-n-two": ("constants --lambda 1 --n 2",
                         "error: horizon_n must be 0 or an integer >= 3, got 2"),
     "constants-m-odd": ("constants --lambda 1 --m 5", _EVEN_M + "5"),
+    "constants-above-ceiling": ("constants --lambda 710 --n 12 --m 256",
+                                _CEILING.format("695.01087556205334", 12)),
     "constants-n-text": ("constants --lambda 1 --n 2.5",
                          "parklab constants: error: argument --n: invalid int value: '2.5'"),
     "sweep-min-zero": ("sweep --lambda-min 0 --lambda-max 1 --steps 2", _RATE + "0.0"),
@@ -68,6 +73,8 @@ _REJECTED = {
                          "error: steps must be an integer >= 1, got 0"),
     "sweep-n-one": ("sweep --lambda-min 1 --lambda-max 2 --steps 2 --n 1",
                     "error: horizon_n must be 0 or an integer >= 3, got 1"),
+    "sweep-above-ceiling": ("sweep --lambda-min 1 --lambda-max 710 --steps 3",
+                            _CEILING.format("696.0873209436611", 7)),
     "sweep-m-odd": ("sweep --lambda-min 1 --lambda-max 2 --steps 2 --m 7", _EVEN_M + "7"),
     "simulate-rate-zero": ("simulate --lambda 0 --length 3 --trials 1", _RATE + "0.0"),
     "simulate-trials-zero": ("simulate --lambda 1 --length 3 --trials 0",
@@ -209,6 +216,14 @@ class TestConstants:
             main(["constants", "--lambda", "1", "--bogus", "2"])
         assert exc.value.code == 2
 
+    def test_crude_tails_below_the_cutoff_give_the_uniform_fallback(self, capsys):
+        # the fallback's brackets come from the uniform derivative whatever --tail asks
+        code, out, err = run_cli(capsys, "constants", "--lambda", "1e-7", "--tail", "crude")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["tail_method"] == "envelope" and payload["uniform_fallback"] is True
+        assert run_cli(capsys, "constants", "--lambda", "1e-7") == (0, out, "")
+
 
 class TestPooledHalving:
     # m*((n-1)^2-1) = 30720 product panels: with two workers allowed, the
@@ -299,6 +314,7 @@ class TestSweep:
                                "--steps", "5", "--n", "5", "--m", "32")
         assert code == 0
         rows = parse_csv(out)
+        assert [float(r["lambda"]) for r in rows] == [2.0, 2.5, 3.0, 3.5, 4.0]
         methods = {float(r["lambda"]): r["method"] for r in rows}
         assert methods[2.0] == "envelope" and methods[2.5] == "envelope"
         assert methods[3.0] == "crude" and methods[4.0] == "crude"
@@ -329,6 +345,20 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert err.startswith("error: rate lam=1e-200 is below ")
+
+    def test_a_failing_sweep_fails_on_its_largest_rate(self, monkeypatch, capsys):
+        # a too-coarse --m rejects the largest rate first, so it is solved first
+        solved, solve_mean = [], parklab.solver.solve_mean
+
+        def spy(params, **kwargs):
+            solved.append(params.lam)
+            return solve_mean(params, **kwargs)
+
+        monkeypatch.setattr(parklab.solver, "solve_mean", spy)
+        code, out, err = run_cli(capsys, "sweep", "--lambda-min", "1", "--lambda-max", "690",
+                                 "--steps", "3")
+        assert (code, out, solved) == (2, "", [690.0])
+        assert err.startswith("error: mean count at lam=690 with m=256 is ")
 
     def test_failed_rate_prints_no_table(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--lambda-min", "1", "--lambda-max", "1",

@@ -534,6 +534,12 @@ class TestPooledHalving:
         constants_report(1.0, 0, 256, "crude", with_halving_delta=True)
         assert made_pools == []
 
+    def test_no_worker_for_a_rate_above_the_ceiling(self, monkeypatch, made_pools):
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        with pytest.raises(DomainError, match=r"^rate lam=710 is above .* n=12: "):
+            constants_report(710.0, 12, 256, "crude", with_halving_delta=True)
+        assert made_pools == []
+
     @pytest.mark.parametrize("lam, n, tail", [(1.0, 7, "crude"), (1e-7, 30, "envelope"),
                                               (1.0, 0, "crude")])
     def test_every_halving_rejects_a_malformed_thread_setting(self, monkeypatch, lam, n, tail):

@@ -216,6 +216,22 @@ class TestSegmentedGrid:
         with pytest.raises(DomainError):
             SegmentedGrid("M", bad, lam=1.0)
 
+    @pytest.mark.parametrize("lam", [True, math.inf, math.nan, 0.0, -1.0, "1.0"])
+    def test_rated_grids_take_the_rate_rule(self, lam):
+        with pytest.raises(DomainError, match=r"^rate lam must be finite and > 0, got "):
+            SegmentedGrid("M", np.zeros((3, 5)), lam=lam)
+
+    @pytest.mark.parametrize("lam", [np.float32(1.0), np.int64(1), 1])
+    def test_rated_grids_store_a_python_float(self, lam):
+        g = SegmentedGrid("M2", np.zeros((3, 5)), lam=lam)
+        assert type(g.lam) is float and g.lam == 1.0
+
+    def test_uniform_and_missing_rates_keep_their_messages(self):
+        with pytest.raises(DomainError, match="^uniform grids carry no rate$"):
+            SegmentedGrid("uniformMprime", np.zeros((3, 5)), lam=1.0)
+        with pytest.raises(DomainError, match="^grid of kind 'Mprime' needs a positive rate$"):
+            SegmentedGrid("Mprime", np.zeros((3, 5)))
+
     def test_values_immutable(self):
         g = self._grid()
         with pytest.raises(ValueError):

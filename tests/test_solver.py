@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -258,6 +259,16 @@ class TestRateLimit:
                     with pytest.raises(DomainError, match=rf"lam={lam:.17g} is above "
                                        rf"{limit:.17g}.*n={n}.*lam\*e\^lam would overflow"):
                         solve(Params(lam, n, 64))
+
+    @pytest.mark.parametrize("n", [3, 7, 30])
+    def test_params_holds_the_ceiling(self, n):
+        limit = _max_rate(n)
+        assert Params(limit, n, 64).lam == limit
+        lam = limit * (1 + 1e-12)
+        message = (f"rate lam={lam:.17g} is above {limit:.17g}, the largest the solvers can "
+                   f"step to n={n}: the kernel factor lam*e^lam would overflow")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Params(lam, n, 64)
 
     @pytest.mark.parametrize("n, lam", [(3, None), (7, None), (7, 690.0), (30, 690.0)])
     def test_rates_up_to_the_limit_solve_without_warnings(self, n, lam):
