@@ -44,6 +44,7 @@ from .core import (
     _check_int,
     _check_rate,
     _check_resolution,
+    _rate_limit,
 )
 
 __all__ = [
@@ -345,25 +346,20 @@ def _shared_grids() -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def _memo(key: tuple, solve: Callable[[], object]):
+def _memo(solve: Callable, *args):
+    """solve(*args), solved once per ``_shared_grids`` block."""
     memo = _SHARED.get()
     if memo is None:
-        return solve()
-    if key not in memo:
-        memo[key] = solve()
-    return memo[key]
+        return solve(*args)
+    if (solve, args) not in memo:
+        memo[solve, args] = solve(*args)
+    return memo[solve, args]
 
 
 def _mean_grids(params: Params) -> tuple[SegmentedGrid, SegmentedGrid]:
     """The mean grid and the second-moment grid built on it."""
-    def solve():
-        m_grid = _solver.solve_mean(params)
-        return m_grid, _solver.solve_second_moment(params, m_grid)
-    return _memo(("M, M2", params), solve)
-
-
-def _derivative_grid(params: Params) -> SegmentedGrid:
-    return _memo(("M'", params), lambda: _solver.solve_mean_derivative(params))
+    m_grid = _solver.solve_mean(params)
+    return m_grid, _solver.solve_second_moment(params, m_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +370,10 @@ def _derivative_grid(params: Params) -> SegmentedGrid:
 # cancel there: b and d both subtract terms of order 1/lam to leave O(1)
 # constants, so the brackets' widths grow by that factor.
 UNIFORM_RATE_CUTOFF = 1e-6
+
+# The step-bound report's (n = 0) largest rate, about 701.8: the intercept forms
+# 2*(1+lam)*e^lam <= 4*lam*e^lam before P ~ e^-lam scales it down.
+_STEP_BOUND_MAX_RATE = _rate_limit(4.0)
 
 # A halving pools from 2*_MIN_PANELS_PER_WORKER fine M2 panels.  Pooled/inline
 # medians (lam=1, 11-15 alternating reps, 2-CPU Xeon): 1.4x at (n, m) = (7, 512),
@@ -392,9 +392,10 @@ def constants_report(
 ) -> ConstantsReport:
     """Solve the grids and assemble brackets for all three constants.
 
-    horizon_n = 0 skips solving entirely and uses pure step-bound tails
-    (only the crude method exists there).  Horizons 1 and 2 are rejected:
-    the seeds already cover [0, 3], so nothing shorter is ever solved.
+    horizon_n = 0 skips solving entirely and uses pure step-bound tails (only
+    the crude method exists there), at rates up to _STEP_BOUND_MAX_RATE.
+    Horizons 1 and 2 are rejected: the seeds already cover [0, 3], so nothing
+    shorter is ever solved.
     Below UNIFORM_RATE_CUTOFF it is the uniform fallback, labelled "envelope"
     whatever ``tail_method`` asks.  Solved reports build their ``Params`` first,
     so a rate above the solvers' ceiling raises before anything is solved or forked.
@@ -415,6 +416,9 @@ def constants_report(
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
     resolution_m = _check_resolution(resolution_m)
     lam = _check_rate(lam, solvable=True)
+    if horizon_n == 0 and lam > _STEP_BOUND_MAX_RATE:
+        raise DomainError(f"rate lam={lam:.17g} is above {_STEP_BOUND_MAX_RATE:.17g}, the largest the "
+                          f"step-bound identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
     params = (Params(lam, horizon_n, resolution_m)
               if horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF else None)
 
@@ -438,7 +442,7 @@ def constants_report(
         return dataclasses.replace(fine, quadrature_halving_delta=delta)
 
     if params is not None:
-        return _report(params, tail_method, *_mean_grids(params))
+        return _report(params, tail_method, *_memo(_mean_grids, params))
     if horizon_n == 0:
         return ConstantsReport(lam, 0, resolution_m, "crude", *_step_bound_brackets(lam))
     return _uniform_fallback_report(lam, horizon_n, resolution_m)
@@ -454,7 +458,7 @@ def _report(params: Params, tail_method: str, m_grid: SegmentedGrid,
         tail2 = crude_second_moment_tail(lam, n)
         env_inf = env_sup = None
     else:
-        d_grid = _derivative_grid(params)
+        d_grid = _memo(_solver.solve_mean_derivative, params)
         env_inf, env_sup = _envelope.window_extrema(d_grid, n)
         mean_at_n = float(m_grid.values[n - 1, -1])
         tail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=0)

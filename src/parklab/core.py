@@ -4,9 +4,10 @@ Cars are open unit intervals dropped on (0, x); the left endpoint of each car
 follows a truncated exponential law with rate ``lam`` on the free gap.  The
 mean count of cars at saturation is known in closed form up to x = 3, and the
 process obeys hard counting bounds (at saturation every gap is at most one
-car length, so ceil((x-1)/2) <= count <= floor(x)).  Everything past x = 3 is
-produced by the steppers in :mod:`parklab.solver`, which, like every grid
-consumer, read the segment rule (nodes, quadrature, interpolant) from here.
+car length, so ceil((x-1)/2) <= count <= floor(x)).  The forms on [2, 3] are
+written once, here, and seed the steppers in :mod:`parklab.solver`, which
+produce everything past x = 3 and, like every grid consumer, read the segment
+rule (nodes, quadrature, interpolant) from here.
 """
 
 from __future__ import annotations
@@ -56,11 +57,14 @@ def _max_rate(horizon_n: int) -> float:
 
     A kernel factor reaches lam*e^lam (see solver._march), the samples it
     weights are at most n^2 (the second moment of a count of at most n), and
-    the cubic stencil multiplies their product by up to _STENCIL_GAIN, so the
-    limit solves lam + log(lam) = log(max float) - log(_STENCIL_GAIN * n^2),
-    here by Newton's method.
+    the cubic stencil multiplies their product by up to _STENCIL_GAIN.
     """
-    target = math.log(np.finfo(float).max) - math.log(_STENCIL_GAIN * horizon_n**2)
+    return _rate_limit(_STENCIL_GAIN * horizon_n**2)
+
+
+def _rate_limit(gain: float) -> float:
+    """The lam with gain*lam*e^lam = max float, by Newton's method on its logarithm."""
+    target = math.log(np.finfo(float).max) - math.log(gain)
     lam = target
     for _ in range(6):
         lam -= (lam + math.log(lam) - target) / (1.0 + 1.0 / lam)
@@ -358,13 +362,7 @@ def mean_closed(x: float, lam: float) -> float:
     lam = _check_rate(lam)
     if not (0.0 <= x <= 3.0):
         raise DomainError(f"closed form only valid on [0, 3], got x={x!r}")
-    if x <= 1.0:
-        return 0.0
-    if x <= 2.0:
-        return 1.0
-    num = (1.0 + math.exp(-lam)) * -math.expm1(-lam * (x - 2.0))
-    den = -math.expm1(-lam * (x - 1.0))
-    return 1.0 + num / den
+    return 0.0 if x <= 1.0 else 1.0 if x <= 2.0 else float(_mean_past_two(x - 2.0, lam))
 
 
 def mean_derivative_closed(x: float, lam: float, from_right: bool = False) -> float:
@@ -374,25 +372,23 @@ def mean_derivative_closed(x: float, lam: float, from_right: bool = False) -> fl
     right-limit value at 2.  x = 1 and x = 2 are jump points and are only
     evaluated when ``from_right`` requests the right limit.
     """
-    lam = _check_rate(lam)
+    lam = _check_rate(lam, solvable=True)
     if not (0.0 < x <= 3.0):
         raise DomainError(f"closed form only valid on (0, 3], got x={x!r}")
-    if x == 1.0 or x == 2.0:
-        if not from_right:
-            raise DomainError(f"x={x} is a jump point; pass from_right=True for the right limit")
-        if x == 1.0:
-            return 0.0
-        return _mean_derivative_tail(2.0, lam)
-    if x < 2.0:
-        return 0.0
-    return _mean_derivative_tail(x, lam)
+    if (x == 1.0 or x == 2.0) and not from_right:
+        raise DomainError(f"x={x} is a jump point; pass from_right=True for the right limit")
+    return 0.0 if x < 2.0 else float(_mean_derivative_past_two(x - 2.0, lam))
 
 
-def _mean_derivative_tail(x: float, lam: float) -> float:
-    # lam*sinh(lam) / (cosh(lam*(x-1)) - 1) rewritten so every exponential
-    # has a nonpositive argument; stable for lam from 1e-300 up to ~700.
-    y = x - 1.0
-    return lam * math.exp(lam * (1.0 - y)) * -math.expm1(-2.0 * lam) / math.expm1(-lam * y) ** 2
+def _mean_past_two(t, lam: float):
+    """M(2 + t), for t in [0, 1] or an array of them; at t = x - 2, 1 + t is exactly x - 1."""
+    return 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * t) / -np.expm1(-lam * (1.0 + t))
+
+
+def _mean_derivative_past_two(t, lam: float):
+    """M'(2 + t), the right limit at t = 0: lam*sinh(lam) / (cosh(lam*(1+t)) - 1) with every
+    exponent nonpositive.  The expm1 square is a normal double for lam >= _MIN_RATE."""
+    return lam * np.exp(-lam * t) * -math.expm1(-2.0 * lam) / np.expm1(-lam * (1.0 + t)) ** 2
 
 
 def upper_count_bound(x: float) -> int:
@@ -409,6 +405,7 @@ def lower_count_bound(x: float) -> int:
     return max(0, math.ceil((x - 1.0) / 2.0))
 
 
-def _count_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lower_count_bound and upper_count_bound at every x >= 0, as floats."""
-    return np.ceil(np.maximum(x - 1.0, 0.0) / 2.0), np.floor(x)
+def _count_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node x of an (n, m) grid, and lower_count_bound and upper_count_bound there as floats."""
+    x = np.arange(n)[:, None] + _node_offsets(m)
+    return x, np.ceil(np.maximum(x - 1.0, 0.0) / 2.0), np.floor(x)

@@ -2,12 +2,14 @@
 
 The value of each unknown at x+1 depends only on weighted integrals of
 already-solved values on [0, x], so the grids advance one unit segment at a
-time from analytic seeds on [0, 3].  All quadrature is composite Simpson (or
-its cubic-stencil equivalents for odd leftover panels) on the grid's own
-uniform nodes, with panels split at every integer breakpoint and, for the
-convolution-type terms, at the mirror images of the integer breakpoints; each
-panel rule is exact on cubics, giving fourth-order accuracy throughout.  That
-segment rule is defined once, in :mod:`parklab.core`.
+time from analytic seeds on [0, 3]; row 2 of the mean and of its derivative
+is core's closed form on [2, 3] at the segment's nodes.  All quadrature is
+composite Simpson (or its cubic-stencil equivalents for odd leftover panels)
+on the grid's own uniform nodes, with panels split at every integer
+breakpoint and, for the convolution-type terms, at the mirror images of the
+integer breakpoints; each panel rule is exact on cubics, giving fourth-order
+accuracy throughout.  That segment rule is defined once, in
+:mod:`parklab.core`.
 
 Every recursion is stepped by one core, :func:`_march`, given its kernels
 and the closure that turns their integrals into the next segment.  The
@@ -38,6 +40,8 @@ from .core import (
     _cumulative,
     _interp_segment,
     _max_rate,  # re-exported: the solvers' rate ceiling, which Params enforces
+    _mean_derivative_past_two,
+    _mean_past_two,
     _node_offsets,
     _panel_weight_table,
 )
@@ -145,11 +149,10 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0
     if seed_upto == 3:
-        vals[2] = 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * offs) / -np.expm1(-lam * (1.0 + offs))
+        vals[2] = _mean_past_two(_node_offsets(m), lam)
     _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
            lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2)
     _check_count_bounds(vals, lam)
@@ -164,8 +167,7 @@ def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
     integrates weights that grow by e^(lam/m) between nodes.
     """
     n, m = vals.shape[0], vals.shape[1] - 1
-    x = np.arange(n)[:, None] + _node_offsets(m)
-    lo, hi = _count_bounds(x)
+    x, lo, hi = _count_bounds(n, m)
     bad = np.flatnonzero((vals < lo) | (vals > hi))
     if bad.size:
         k, j = divmod(int(bad[0]), m + 1)
@@ -193,11 +195,9 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
     if seed_upto not in (2, 3):
         raise DomainError("seed_upto must be 2 or 3")
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    offs = _node_offsets(m)
     vals = np.zeros((n, m + 1))
     if seed_upto == 3:
-        vals[2] = lam * np.exp(-lam * offs) * -math.expm1(-2.0 * lam) \
-            / np.expm1(-lam * (1.0 + offs)) ** 2
+        vals[2] = _mean_derivative_past_two(_node_offsets(m), lam)
 
     def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
         seed_term = -0.5 * lam * np.exp(-lam * (x - 1.0)) * math.expm1(-2.0 * lam)

@@ -27,7 +27,8 @@ from . import constants as _constants
 from . import envelope as _envelope
 from . import montecarlo as _mc
 from . import solver as _solver
-from .core import DomainError, Params, _count_bounds, mean_closed, mean_derivative_closed
+from .core import (DomainError, Params, _count_bounds, _mean_derivative_past_two, _mean_past_two,
+                   _node_offsets)
 
 __all__ = ["CheckResult", "run_checks", "CRITERIA"]
 
@@ -46,38 +47,34 @@ class CheckResult:
         return f"{verdict}  criterion {self.criterion:>2} {self.name}: {self.measured}"
 
 
-def _grid_max_err(grid, closed: Callable[[float, float], float], lam: float) -> float:
-    xs = grid.x_nodes(2)
-    ref = np.array([closed(x, lam) for x in xs])
-    return float(np.max(np.abs(grid.values[2] - ref)))
+def _closed_form_error(lam: float) -> float:
+    """Largest node gap on [2, 3] between the seed_upto=2 grids of M and M' and core's closed forms."""
+    p = Params(lam, 3, 256)
+    t = _node_offsets(256)
+    return max(float(np.max(np.abs(g.values[2] - closed(t, lam)))) for g, closed in (
+        (_solver.solve_mean(p, seed_upto=2), _mean_past_two),
+        (_solver.solve_mean_derivative(p, seed_upto=2), _mean_derivative_past_two)))
 
 
 def _check_1(quick: bool) -> list[CheckResult]:
     t0 = time.perf_counter()
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        p = Params(lam, 3, 256)
-        g_mean = _solver.solve_mean(p, seed_upto=2)
-        worst = max(worst, _grid_max_err(g_mean, mean_closed, lam))
-        g_rate = _solver.solve_mean_derivative(p, seed_upto=2)
-        closed_rate = lambda x, lam_: mean_derivative_closed(x, lam_, from_right=(x == 2.0))
-        worst = max(worst, _grid_max_err(g_rate, closed_rate, lam))
+    worst = max(_closed_form_error(lam) for lam in (0.5, 1.0, 2.0))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 1.0
     return [CheckResult(1, "closed-form agreement on (2,3]", ok,
                         f"max node error {worst:.3e} (tol 1e-9), runtime {elapsed:.2f}s (limit 1s)")]
 
 
+def _count_bound_violation(params: Params) -> float:
+    """Largest excess of M over the counting bounds, or of M2 over their squares, at any node."""
+    g, g2 = _constants._memo(_constants._mean_grids, params)
+    _, lo, hi = _count_bounds(params.horizon_n, params.resolution_m)
+    return float(max(np.max(lo - g.values), np.max(g.values - hi),
+                     np.max(lo**2 - g2.values), np.max(g2.values - hi**2)))
+
+
 def _check_2(quick: bool) -> list[CheckResult]:
-    worst = 0.0
-    for lam in (0.1, 1.0, 5.0):
-        p = Params(lam, 7, 256)
-        g, g2 = _constants._mean_grids(p)
-        for k in range(p.horizon_n):
-            xs = g.x_nodes(k)
-            lo, hi = _count_bounds(xs)
-            worst = max(worst, float(np.max(lo - g.values[k])), float(np.max(g.values[k] - hi)))
-            worst = max(worst, float(np.max(lo**2 - g2.values[k])), float(np.max(g2.values[k] - hi**2)))
+    worst = max(0.0, *(_count_bound_violation(Params(lam, 7, 256)) for lam in (0.1, 1.0, 5.0)))
     ok = worst <= 0.0
     return [CheckResult(2, "hard counting bounds at every node", ok,
                         f"max violation {worst:.3e} (tol 0)")]
@@ -86,9 +83,9 @@ def _check_2(quick: bool) -> list[CheckResult]:
 def _check_3(quick: bool) -> list[CheckResult]:
     flags = []
     for lam in (0.5, 1.0, 2.0):
-        g = _constants._derivative_grid(Params(lam, 7, 256))
+        g = _constants._memo(_solver.solve_mean_derivative, Params(lam, 7, 256))
         flags.extend(_envelope.check_nesting(g, 3, 7))
-    gu = _solver.solve_uniform_mean_derivative(16, 256)
+    gu = _constants._memo(_solver.solve_uniform_mean_derivative, 16, 256)
     flags.extend(_envelope.check_nesting(gu, 3, 15))
     ok = all(flags)
     return [CheckResult(3, "envelope nesting (rated 3..7, uniform 3..15)", ok,
@@ -143,7 +140,7 @@ def _gap(bracket, value: float) -> float:
 
 
 def _check_6(quick: bool) -> list[CheckResult]:
-    gu = _solver.solve_uniform_mean_derivative(16, 256)
+    gu = _constants._memo(_solver.solve_uniform_mean_derivative, 16, 256)
     lo, hi = _envelope.window_extrema(gu, 16)
     mid = 0.5 * (lo + hi)
     r_a = CheckResult(6, "uniform window [15,16] envelope", abs(mid - 0.748) <= 5e-4,
@@ -157,10 +154,10 @@ def _check_6(quick: bool) -> list[CheckResult]:
 
 
 def _check_7(quick: bool) -> list[CheckResult]:
-    gu = _solver.solve_uniform_mean_derivative(7, 256)
+    gu = _constants._memo(_solver.solve_uniform_mean_derivative, 7, 256)
     dists = []
     for lam in (0.5, 0.2, 0.1, 0.05):
-        g = _constants._derivative_grid(Params(lam, 7, 256))
+        g = _constants._memo(_solver.solve_mean_derivative, Params(lam, 7, 256))
         dists.append(float(np.max(np.abs(g.values - gu.values))))
     ok = all(a > b for a, b in zip(dists, dists[1:]))
     msg = " > ".join(f"{d:.4f}" for d in dists)

@@ -42,6 +42,8 @@ _RATE = "error: rate lam must be finite and > 0, got "
 _EVEN_M = "error: resolution_m must be an even integer >= 2, got "
 _CEILING = ("error: rate lam=710 is above {}, the largest the solvers can step to n={}: "
             "the kernel factor lam*e^lam would overflow")
+_N0_CEILING = ("error: rate lam={} is above 701.84270921429197, the largest the step-bound "
+               "identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
 _REJECTED = {
     "table-rate-zero": ("table --lambda 0 --kind M", _RATE + "0.0"),
     "table-rate-nan": ("table --lambda nan --kind M", _RATE + "nan"),
@@ -64,6 +66,11 @@ _REJECTED = {
     "constants-m-odd": ("constants --lambda 1 --m 5", _EVEN_M + "5"),
     "constants-above-ceiling": ("constants --lambda 710 --n 12 --m 256",
                                 _CEILING.format("695.01087556205334", 12)),
+    # these once ended in [inf, inf], [nan, 5e-324] or an OverflowError traceback
+    **{f"constants-n0-above-ceiling-{lam}": (f"constants --lambda {lam} --n 0 --tail crude",
+                                             _N0_CEILING.format(shown))
+       for lam, shown in [("709", "709"), ("709.8", "709.79999999999995"), ("800", "800"),
+                          ("1e5", "100000"), ("1e308", "1e+308")]},
     "constants-n-text": ("constants --lambda 1 --n 2.5",
                          "parklab constants: error: argument --n: invalid int value: '2.5'"),
     "sweep-min-zero": ("sweep --lambda-min 0 --lambda-max 1 --steps 2", _RATE + "0.0"),
@@ -105,6 +112,15 @@ def test_rejected_before_anything_is_solved(monkeypatch, capsys, argv, line):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == line + "\n" or (err.startswith("usage: ") and err.endswith("\n" + line + "\n"))
+
+
+@pytest.mark.parametrize("lam", ["1e-300", repr(2.0**-511), "700", "709", "709.8", "1e5", "1e308"])
+@pytest.mark.parametrize("command", ["constants --n 0 --tail crude", "constants --n 3 --m 8",
+                                     "table --kind Mprime --n 3 --m 8"])
+def test_no_command_ends_in_a_traceback(capsys, command, lam):
+    # extreme rates either give a result or one error line; RuntimeWarnings are errors here
+    code, out, err = run_cli(capsys, *command.split(), "--lambda", lam)
+    assert (code, err) == (0, "") or (code == 2 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
 
 
 class TestTable:
@@ -186,6 +202,15 @@ class TestConstants:
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["c_lo"] <= payload["c_hi"] and payload["b_lo"] <= payload["b_hi"]
+
+    def test_step_bounds_below_the_n0_ceiling_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "--lambda", "700", "--n", "0", "--tail", "crude")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"lambda": 700.0, "n": 0, "m": 256, "tail_method": "crude", "c_lo": 0.9985734664764622, '
+            '"c_hi": 0.9985734664764622, "b_lo": -0.4985724489775153, "b_hi": -0.4985724489775153, '
+            '"d_lo": 2.032094901238679e-06, "d_hi": 2.032094901238679e-06, "envelope_inf": null, '
+            '"envelope_sup": null, "quadrature_halving_delta": 0.0, "uniform_fallback": false}\n')
 
     def test_envelope_fields_present(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--lambda", "1", "--n", "5", "--m", "64")

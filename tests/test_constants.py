@@ -30,7 +30,7 @@ from parklab.constants import (
     truncated_laplace,
     variance_slope_bracket,
 )
-from parklab.core import _MIN_RATE, SegmentedGrid
+from parklab.core import _MIN_RATE, SegmentedGrid, _max_rate
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +425,27 @@ class TestReports:
         rep = constants_report(1.0, np.int64(7), np.int64(16), "crude")
         assert rep == constants_report(1.0, 7, 16, "crude")
         assert (type(rep.horizon_n), type(rep.resolution_m)) == (int, int)
+
+
+class TestLargestStepBoundRate:
+    LIMIT = constants._STEP_BOUND_MAX_RATE
+
+    def test_limit_keeps_the_intercept_factor_finite(self):
+        # the intercept forms 2*e^lam*(1 + lam) before P scales it down
+        assert 701.8 < self.LIMIT < 701.9
+        assert math.isfinite(2.0 * math.exp(self.LIMIT) * (1.0 + self.LIMIT))
+        assert _max_rate(3) < self.LIMIT  # solved reports stop lower
+
+    def test_report_at_the_limit(self):
+        rep = constants_report(self.LIMIT, 0, 16, "crude")
+        assert all(math.isfinite(v) for v in rep.endpoints)
+
+    @pytest.mark.parametrize("with_halving_delta", [False, True])
+    def test_report_just_above_the_limit_is_rejected(self, with_halving_delta):
+        lam = math.nextafter(self.LIMIT, math.inf)
+        with pytest.raises(DomainError, match=rf"^rate lam={lam:.17g} is above {self.LIMIT:.17g}, "
+                                              r"the largest the step-bound identities"):
+            constants_report(lam, 0, 16, "crude", with_halving_delta=with_halving_delta)
 
 
 class TestSmallestRate:

@@ -79,6 +79,38 @@ class TestMeanDerivativeClosed:
         assert mean_derivative_closed(x, lam) == pytest.approx(fd, rel=1e-8)
 
 
+def _libm_mean(x, lam):
+    # the scalar closed forms as libm evaluated them before they became numpy expressions
+    num = (1.0 + math.exp(-lam)) * -math.expm1(-lam * (x - 2.0))
+    return 1.0 + num / -math.expm1(-lam * (x - 1.0))
+
+
+def _libm_mean_derivative(x, lam):
+    y = x - 1.0
+    return lam * math.exp(lam * (1.0 - y)) * -math.expm1(-2.0 * lam) / math.expm1(-lam * y) ** 2
+
+
+class TestClosedFormsPastTwo:
+    def test_within_8_ulp_of_the_libm_formulas(self):
+        # numpy's exp and expm1 may round differently from libm in the last bits
+        rng = np.random.default_rng(20251020)
+        xs = np.concatenate(([2.0, 3.0], 2.0 + rng.random(4000)))
+        lams = np.exp(rng.uniform(math.log(2.0**-511), math.log(690.0), xs.size))
+        for x, lam in zip(xs.tolist(), lams.tolist()):
+            for got, ref in ((mean_closed(x, lam), _libm_mean(x, lam)),
+                             (mean_derivative_closed(x, lam, from_right=True),
+                              _libm_mean_derivative(x, lam))):
+                assert type(got) is float
+                assert abs(got - ref) <= 8 * math.ulp(ref), (x, lam)
+
+    @pytest.mark.parametrize("lam", [math.nextafter(2.0**-511, 0.0), 1e-170, 1e-300])
+    @pytest.mark.parametrize("x", [1.5, 2.0, 2.5])
+    def test_derivative_rejects_rates_below_the_smallest(self, x, lam):
+        # 1e-170 and 1e-300 once divided by an expm1 square that underflowed to zero
+        with pytest.raises(DomainError, match=f"^rate lam={lam!r} is below {2.0**-511!r}, "):
+            mean_derivative_closed(x, lam, from_right=True)
+
+
 class TestCountBounds:
     def test_examples(self):
         assert upper_count_bound(5.3) == 5

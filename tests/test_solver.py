@@ -22,6 +22,8 @@ from parklab import (
 )
 from parklab.core import (
     _interp_segment,
+    _mean_derivative_past_two,
+    _mean_past_two,
     _node_offsets,
     _panel_weights,
     lower_count_bound,
@@ -192,6 +194,16 @@ class TestSolveMean:
         g = solve_mean(Params(1.0, 5, 256))
         for x, ref in refs.items():
             assert g.value(x) == pytest.approx(ref, abs=5e-11)
+
+
+@pytest.mark.parametrize("m", [2, 6, 10, 64, 256, 512])
+@pytest.mark.parametrize("lam", [2.0**-511, 0.05, 1.0, 30.0, 690.0])
+def test_seeds_are_core_closed_forms(lam, m):
+    # row 2 of both rated first-order grids is core's (2, 3] closed form, bit for bit
+    p = Params(lam, 3, m)
+    t = _node_offsets(m)
+    assert np.array_equal(solve_mean(p).values[2], _mean_past_two(t, lam))
+    assert np.array_equal(solve_mean_derivative(p).values[2], _mean_derivative_past_two(t, lam))
 
 
 class TestSolveMeanDerivative:

@@ -6,9 +6,11 @@ import multiprocessing
 import multiprocessing.pool
 import time
 
+import numpy as np
 import pytest
 
-from parklab import constants_report, validation
+from parklab import Params, constants, constants_report, solver, validation
+from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
 
 
 def test_simulation_runtime_covers_the_started_runs(monkeypatch):
@@ -58,3 +60,44 @@ def test_criterion_11_reads_the_halving_delta(method):
     assert halved.quadrature_halving_delta == recomputed
     line, = [r for r in validation.CRITERIA[11](True) if f"({method})" in r.name]
     assert line.measured == f"max endpoint delta {recomputed:.2e} (tol 1e-8)"
+
+
+def test_the_uniform_grid_is_solved_once_per_run(monkeypatch):
+    # criteria 3 and 6 both read the uniform (16, 256) derivative grid
+    calls = []
+    real = solver.solve_uniform_mean_derivative
+
+    def counting(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(solver, "solve_uniform_mean_derivative", counting)
+    validation.run_checks(quick=True)
+    assert calls.count((16, 256)) == 1
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_criterion_1_measures_the_node_by_node_error(lam):
+    p = Params(lam, 3, 256)
+    worst = 0.0
+    for solve, closed in ((solver.solve_mean, mean_closed),
+                          (solver.solve_mean_derivative,
+                           lambda x, lam: mean_derivative_closed(x, lam, from_right=(x == 2.0)))):
+        g = solve(p, seed_upto=2)
+        ref = np.array([closed(x, lam) for x in g.x_nodes(2)])
+        worst = max(worst, float(np.max(np.abs(g.values[2] - ref))))
+    assert validation._closed_form_error(lam) == worst
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
+def test_criterion_2_measures_the_row_by_row_violation(lam):
+    p = Params(lam, 7, 256)
+    g, g2 = constants._mean_grids(p)
+    worst = -np.inf
+    for k in range(p.horizon_n):
+        xs = g.x_nodes(k)
+        lo = np.array([lower_count_bound(x) for x in xs], dtype=float)
+        hi = np.array([upper_count_bound(x) for x in xs], dtype=float)
+        worst = max(worst, np.max(lo - g.values[k]), np.max(g.values[k] - hi),
+                    np.max(lo**2 - g2.values[k]), np.max(g2.values[k] - hi**2))
+    assert validation._count_bound_violation(p) == worst
