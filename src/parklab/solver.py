@@ -12,9 +12,10 @@ accuracy throughout.  That segment rule is defined once, in
 :mod:`parklab.core`.
 
 Every recursion is stepped by one core, :func:`_march`, given its kernels
-and the closure that turns their integrals into the next segment.  The
-second moment's product convolution depends only on the already-solved
-mean, so :func:`_product_grid` computes it once, before that march starts.
+and the closure that turns their integrals into the next segment; it checks
+each row of the mean and second-moment grids against the counting bounds as
+the row closes.  The second moment's product convolution depends only on
+the solved mean, so :func:`_product_grid` computes it before that march.
 It works by segment pairs: for each pair it forms the samples of the pair's
 head panels, and then of its tail panels, block by block in one reused
 buffer, integrates each panel with one :func:`_product_panel` call on a row
@@ -88,6 +89,7 @@ def _march(
     kernels: list[_Kernel],
     close: Callable[[int, np.ndarray, list[np.ndarray]], np.ndarray],
     continuous_from: int,
+    count: str | None = None,
 ) -> None:
     """Fill rows ``start``.. of ``vals`` in place by the method of steps.
 
@@ -106,9 +108,16 @@ def _march(
     Every factor then stays within lam*e^lam and no sum cancels.
 
     Row k starts where row k-1 ends at every integer k >= continuous_from.
+
+    Given ``count``, "mean count" or "second moment", each closed row must
+    lie within the hard counting bounds (squared for the second moment)
+    before a later row is stepped from it; a node outside is quadrature
+    error, from weights that grow by e^(lam/m) between nodes.
     """
     n, m = vals.shape[0], vals.shape[1] - 1
     offs = _node_offsets(m)
+    x, lo, hi = _count_bounds(n, m)
+    lo, hi = (lo**2, hi**2) if count == "second moment" else (lo, hi)
     eq = math.exp(-lam)
     exp_off = np.exp(-lam * offs)
     prefs = [0.0] * len(kernels)
@@ -120,6 +129,13 @@ def _march(
             new = close(s, s + offs, ints)
             if s + 1 >= continuous_from:
                 new[0] = vals[s, -1]
+            inside = (lo[s + 1] <= new) & (new <= hi[s + 1]) if count else True
+            if not np.all(inside):
+                k, j = s + 1, int(np.argmin(inside))
+                raise DomainError(
+                    f"{count} at lam={lam:g} with m={m} is {new[j]:.6g} at x={x[k, j]:g}, "
+                    f"outside the counting bounds [{lo[k, j]:g}, {hi[k, j]:g}]; the resolution "
+                    f"is too coarse for this rate, a larger resolution_m is needed")
             vals[s + 1] = new
         prefs = [eq * (p + c[-1]) if rescaled else p + c[-1]
                  for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
@@ -154,27 +170,8 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     if seed_upto == 3:
         vals[2] = _mean_past_two(_node_offsets(m), lam)
     _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
-           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2)
-    _check_count_bounds(vals, lam)
+           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2, "mean count")
     return SegmentedGrid("M", vals, lam=lam)
-
-
-def _check_count_bounds(vals: np.ndarray, lam: float) -> None:
-    """Reject a mean grid that leaves the hard counting bounds at any node.
-
-    Every count lies in [lower_count_bound(x), upper_count_bound(x)], so a
-    node outside is quadrature error, not a mean: at large lam/m the stepper
-    integrates weights that grow by e^(lam/m) between nodes.
-    """
-    n, m = vals.shape[0], vals.shape[1] - 1
-    x, lo, hi = _count_bounds(n, m)
-    bad = np.flatnonzero((vals < lo) | (vals > hi))
-    if bad.size:
-        k, j = divmod(int(bad[0]), m + 1)
-        raise DomainError(
-            f"mean count at lam={lam:g} with m={m} is {vals[k, j]:.6g} at x={x[k, j]:g}, "
-            f"outside the counting bounds [{lo[k, j]:g}, {hi[k, j]:g}]; the resolution is "
-            f"too coarse for this rate, a larger --m is needed")
 
 
 def _sinh_weight(lam: float, s: int, offs: np.ndarray) -> np.ndarray:
@@ -252,7 +249,7 @@ def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray
         mean_terms = ints[2] + ints[3]
         return 1.0 + (own + 2.0 * mean_terms + 2.0 * prod[s]) / -np.expm1(-lam * x)
 
-    _march(vals, lam, 2, _exp_kernels(vals, lam) + _exp_kernels(mvals, lam), close, 2)
+    _march(vals, lam, 2, _exp_kernels(vals, lam) + _exp_kernels(mvals, lam), close, 2, "second moment")
     return SegmentedGrid("M2", vals, lam=lam)
 
 

@@ -123,6 +123,19 @@ def test_no_command_ends_in_a_traceback(capsys, command, lam):
     assert (code, err) == (0, "") or (code == 2 and out == "" and re.fullmatch(r"error: [^\n]*\n", err))
 
 
+@pytest.mark.parametrize("argv, count", [
+    ("table --lambda 690 --kind M2 --n 3 --m 256", "second moment"),
+    ("table --lambda 690 --kind M --n 7 --m 2", "mean count"),
+])
+def test_a_count_grid_too_coarse_for_its_rate_is_one_error_line(capsys, argv, count):
+    # each grid is checked row by row as it is stepped: no printed M2 above
+    # its bounds, no overflow warning (an error here) before the error line
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {count} at lam=690 with m=\\d+ is [^\n]*, outside the counting "
+                        f"bounds [^\n]*, a larger resolution_m is needed\n", err)
+
+
 class TestTable:
     def test_closed_form_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--lambda", "1", "--kind", "M",
@@ -171,7 +184,7 @@ class TestTable:
                                  "--n", "4", "--m", "8")
         assert code == 2
         assert out == ""
-        assert "lam=300 with m=8" in err and "larger --m" in err
+        assert "lam=300 with m=8" in err and "larger resolution_m" in err
 
     def test_rerun_is_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "table", "--lambda", "0.5", "--kind", "M2",

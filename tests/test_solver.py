@@ -1,5 +1,6 @@
 """Quadrature and method-of-steps solvers against independent oracles."""
 
+import contextlib
 import gc
 import math
 import re
@@ -139,7 +140,7 @@ class TestSolveMean:
     @pytest.mark.parametrize("lam, n, m", [(300.0, 4, 8), (60.0, 7, 8), (10.0, 7, 8)])
     def test_too_coarse_for_the_rate_is_rejected(self, lam, n, m):
         # at these lam/m the stepper's quadrature leaves the counting bounds
-        with pytest.raises(DomainError, match=f"lam={lam:g} with m={m}.*larger --m"):
+        with pytest.raises(DomainError, match=f"lam={lam:g} with m={m}.*larger resolution_m"):
             solve_mean(Params(lam, n, m))
 
     def test_fine_enough_large_rate_still_solves(self):
@@ -296,8 +297,21 @@ class TestRateLimit:
     def test_too_coarse_at_690_is_still_a_counting_bound_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="lam=690 with m=256.*larger --m"):
+            with pytest.raises(DomainError, match="lam=690 with m=256.*larger resolution_m"):
                 solve_mean(Params(690.0, 7, 256))
+
+    @pytest.mark.parametrize("lam", [5.0, 30.0, 300.0, 690.0])
+    @pytest.mark.parametrize("m", [2, 4, 8, 64])
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    def test_too_coarse_grids_fail_before_anything_overflows(self, n, m, lam):
+        # a row outside the counting bounds is rejected before a later row is
+        # stepped from it, so no product of the march overflows
+        params = Params(lam, n, m)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for solve in (lambda: solve_second_moment(params, solve_mean(params)),
+                          lambda: solve_mean_derivative(params)):
+                with contextlib.suppress(DomainError):
+                    solve()
 
 
 class TestSolveSecondMoment:
@@ -328,6 +342,16 @@ class TestSolveSecondMoment:
             hi = np.array([upper_count_bound(x) for x in xs], dtype=float)
             assert np.all(g2.values[k] >= lo**2)
             assert np.all(g2.values[k] <= hi**2)
+
+    @pytest.mark.parametrize("lam, n, m", [(690.0, 3, 256), (12.0, 3, 8), (5.0, 3, 2)])
+    def test_too_coarse_for_the_rate_is_rejected(self, lam, n, m):
+        # at n=3 the mean is the exact seed, so only the stepped M2 row 2 can
+        # leave its bounds (M2 <= 4 there)
+        p = Params(lam, n, m)
+        gm = solve_mean(p)
+        with pytest.raises(DomainError, match=f"second moment at lam={lam:g} with m={m} .*"
+                                              "outside the counting bounds \\[1, 4\\]"):
+            solve_second_moment(p, gm)
 
     def test_rejects_mismatched_mean_grid(self):
         gm = solve_mean(Params(1.0, 5, 64))
