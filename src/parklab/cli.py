@@ -32,6 +32,9 @@ __all__ = ["main", "build_parser"]
 
 _FMT = "%.17g"
 
+# The resolution_m at which `simulate --zref` solves its references; no option sets it.
+_ZREF_RESOLUTION = 256
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -135,11 +138,16 @@ def _cmd_simulate(args) -> int:
     config = _mc.SimConfig(args.lam, args.length, args.trials, args.seed)
     if args.zref:  # solved first, so a rate or length the references reject simulates nothing
         n_ref = max(3, math.ceil(args.length))
-        params = Params(args.lam, n_ref, 256)
-        m_grid = _solver.solve_mean(params)
+        params = Params(args.lam, n_ref, _ZREF_RESOLUTION)
+        try:
+            m_grid = _solver.solve_mean(params)
+            m2_grid = _solver.solve_second_moment(params, m_grid)
+        except DomainError as exc:
+            raise DomainError(f"--zref solves its references at the fixed resolution_m="
+                              f"{_ZREF_RESOLUTION}, and they failed: {exc}; --zref cannot raise it, "
+                              f"so drop --zref, or lower the rate or the length") from exc
         mean_ref = m_grid.value(args.length)
-        m2_ref = _solver.solve_second_moment(params, m_grid).value(args.length)
-        var_ref = m2_ref - mean_ref**2
+        var_ref = m2_grid.value(args.length) - mean_ref**2
         if var_ref <= 0.0:
             print("error: solver variance reference is zero; the count is "
                   "deterministic at this length", file=sys.stderr)

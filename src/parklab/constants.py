@@ -407,7 +407,8 @@ def constants_report(
     grid (``_split_row``) while this process solves the coarse report, then
     the m report's mean, rows k..n-2 and second moment.  The results are the
     same either way, and so are the errors: the coarse report raises first,
-    and a DomainError raised in the worker comes back unchanged.
+    naming its own m and the requested one (``_coarse_report``), and a
+    DomainError raised in the worker comes back unchanged.
     """
     if tail_method not in TAIL_METHODS:
         raise DomainError(f"unknown tail method {tail_method!r}")
@@ -423,16 +424,15 @@ def constants_report(
               if horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF else None)
 
     if with_halving_delta:
-        half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
         panels = resolution_m * ((horizon_n - 1) ** 2 - 1) if params is not None else 0
         if _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) == 1:
-            coarse = constants_report(lam, horizon_n, half_m, tail_method)
+            coarse = _coarse_report(lam, horizon_n, resolution_m, tail_method)
             fine = constants_report(lam, horizon_n, resolution_m, tail_method)
         else:
             k = _split_row(horizon_n)
             with _mc._pool(1) as pool:
                 pending = pool.apply_async(_fine_rows, (params, k))
-                coarse = constants_report(lam, horizon_n, half_m, tail_method)
+                coarse = _coarse_report(lam, horizon_n, resolution_m, tail_method)
                 m_grid = _solver.solve_mean(params)
                 prod = _solver._product_grid(m_grid.values, lam, (k, horizon_n - 1))
                 prod += pending.get()
@@ -446,6 +446,16 @@ def constants_report(
     if horizon_n == 0:
         return ConstantsReport(lam, 0, resolution_m, "crude", *_step_bound_brackets(lam))
     return _uniform_fallback_report(lam, horizon_n, resolution_m)
+
+
+def _coarse_report(lam: float, horizon_n: int, resolution_m: int, tail_method: str) -> ConstantsReport:
+    """The halving delta's report at about resolution_m / 2; its DomainError names both resolutions."""
+    half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
+    try:
+        return constants_report(lam, horizon_n, half_m, tail_method)
+    except DomainError as exc:
+        raise DomainError(f"the halving delta's coarse grid (m={half_m}) for the requested "
+                          f"resolution_m={resolution_m} failed: {exc}") from exc
 
 
 def _report(params: Params, tail_method: str, m_grid: SegmentedGrid,

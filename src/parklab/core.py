@@ -385,6 +385,11 @@ def _mean_past_two(t, lam: float):
     return 1.0 + (1.0 + math.exp(-lam)) * -np.expm1(-lam * t) / -np.expm1(-lam * (1.0 + t))
 
 
+def _second_moment_past_two(t, lam: float):
+    """M2(2 + t), for t as in _mean_past_two: the count there is 1 or 2, so M2 = 3M - 2."""
+    return 3.0 * _mean_past_two(t, lam) - 2.0
+
+
 def _mean_derivative_past_two(t, lam: float):
     """M'(2 + t), the right limit at t = 0: lam*sinh(lam) / (cosh(lam*(1+t)) - 1) with every
     exponent nonpositive.  The expm1 square is a normal double for lam >= _MIN_RATE."""

@@ -2,8 +2,8 @@
 
 The value of each unknown at x+1 depends only on weighted integrals of
 already-solved values on [0, x], so the grids advance one unit segment at a
-time from analytic seeds on [0, 3]; row 2 of the mean and of its derivative
-is core's closed form on [2, 3] at the segment's nodes.  All quadrature is
+time from analytic seeds on [0, 3]; row 2 of every rated grid is core's
+closed form on [2, 3] at the segment's nodes.  All quadrature is
 composite Simpson (or its cubic-stencil equivalents for odd leftover panels)
 on the grid's own uniform nodes, with panels split at every integer
 breakpoint and, for the convolution-type terms, at the mirror images of the
@@ -45,6 +45,7 @@ from .core import (
     _mean_past_two,
     _node_offsets,
     _panel_weight_table,
+    _second_moment_past_two,
 )
 
 __all__ = [
@@ -88,7 +89,6 @@ def _march(
     start: int,
     kernels: list[_Kernel],
     close: Callable[[int, np.ndarray, list[np.ndarray]], np.ndarray],
-    continuous_from: int,
     count: str | None = None,
 ) -> None:
     """Fill rows ``start``.. of ``vals`` in place by the method of steps.
@@ -107,7 +107,8 @@ def _march(
     multiplied by e^-lam per segment and the node values by exp(-lam*offs).
     Every factor then stays within lam*e^lam and no sum cancels.
 
-    Row k starts where row k-1 ends at every integer k >= continuous_from.
+    Every row k >= 3 starts where row k-1 ends; a stepped row 2 keeps its own
+    first node, the right limit at the derivatives' jump at x = 2.
 
     Given ``count``, "mean count" or "second moment", each closed row must
     lie within the hard counting bounds (squared for the second moment)
@@ -127,7 +128,7 @@ def _march(
             ints = [exp_off * (p + c) if rescaled else p + c
                     for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
             new = close(s, s + offs, ints)
-            if s + 1 >= continuous_from:
+            if s + 1 >= 3:
                 new[0] = vals[s, -1]
             inside = (lo[s + 1] <= new) & (new <= hi[s + 1]) if count else True
             if not np.all(inside):
@@ -162,15 +163,14 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     the stepper against the closed form on (2, 3].  As lam vanishes it tends
     to the uniform limit value(x+1) = 2*integral(M)/x + 1 without cancelling.
     """
-    if seed_upto not in (2, 3):
-        raise DomainError("seed_upto must be 2 or 3")
+    seed_upto = _check_int("seed_upto", seed_upto, lambda k: k in (2, 3), "2 or 3")
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0
     if seed_upto == 3:
         vals[2] = _mean_past_two(_node_offsets(m), lam)
     _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
-           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, 2, "mean count")
+           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, "mean count")
     return SegmentedGrid("M", vals, lam=lam)
 
 
@@ -189,8 +189,7 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
     tends to the uniform one down to Params' smallest rate.  The jump at
     x = 2 is kept; later segments join continuously.
     """
-    if seed_upto not in (2, 3):
-        raise DomainError("seed_upto must be 2 or 3")
+    seed_upto = _check_int("seed_upto", seed_upto, lambda k: k in (2, 3), "2 or 3")
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
     vals = np.zeros((n, m + 1))
     if seed_upto == 3:
@@ -201,7 +200,7 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
         denom = 0.5 * np.expm1(-lam * x) ** 2
         return (ints[0] + seed_term) / denom
 
-    _march(vals, lam, seed_upto, [(vals, lambda s, offs: _sinh_weight(lam, s, offs), True)], close, 3)
+    _march(vals, lam, seed_upto, [(vals, lambda s, offs: _sinh_weight(lam, s, offs), True)], close)
     return SegmentedGrid("Mprime", vals, lam=lam)
 
 
@@ -215,7 +214,7 @@ def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> Segmente
     horizon_n, resolution_m = _check_shape(horizon_n, resolution_m)
     vals = np.zeros((horizon_n, resolution_m + 1))
     _march(vals, 0.0, 2, [(vals, lambda s, offs: 2.0 * (s + offs), False)],
-           lambda s, x, ints: (ints[0] + 2.0) / x**2, 3)
+           lambda s, x, ints: (ints[0] + 2.0) / x**2)
     return SegmentedGrid("uniformMprime", vals)
 
 
@@ -240,16 +239,12 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
 def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray) -> SegmentedGrid:
     """Step the second moment on the mean ``m_grid``, given its product grid."""
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
-    mvals = m_grid.values
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
-
-    def close(s: int, x: np.ndarray, ints: list[np.ndarray]) -> np.ndarray:
-        own = ints[0] + ints[1]
-        mean_terms = ints[2] + ints[3]
-        return 1.0 + (own + 2.0 * mean_terms + 2.0 * prod[s]) / -np.expm1(-lam * x)
-
-    _march(vals, lam, 2, _exp_kernels(vals, lam) + _exp_kernels(mvals, lam), close, 2, "second moment")
+    vals[2] = _second_moment_past_two(_node_offsets(m), lam)
+    _march(vals, lam, 3, _exp_kernels(vals, lam) + _exp_kernels(m_grid.values, lam),
+           lambda s, x, ints: 1.0 + (ints[0] + ints[1] + 2.0 * (ints[2] + ints[3]) + 2.0 * prod[s])
+           / -np.expm1(-lam * x), "second moment")
     return SegmentedGrid("M2", vals, lam=lam)
 
 

@@ -124,7 +124,6 @@ def test_no_command_ends_in_a_traceback(capsys, command, lam):
 
 
 @pytest.mark.parametrize("argv, count", [
-    ("table --lambda 690 --kind M2 --n 3 --m 256", "second moment"),
     ("table --lambda 690 --kind M --n 7 --m 2", "mean count"),
 ])
 def test_a_count_grid_too_coarse_for_its_rate_is_one_error_line(capsys, argv, count):
@@ -134,6 +133,19 @@ def test_a_count_grid_too_coarse_for_its_rate_is_one_error_line(capsys, argv, co
     assert (code, out) == (2, "")
     assert re.fullmatch(f"error: {count} at lam=690 with m=\\d+ is [^\n]*, outside the counting "
                         f"bounds [^\n]*, a larger resolution_m is needed\n", err)
+
+
+def test_n3_second_moment_is_seeds_inside_the_squared_bounds(capsys):
+    # on [0, 3] every M2 row is a seed, so no n=3 grid is too coarse for its rate
+    code, out, err = run_cli(capsys, "table", "--lambda", "690", "--kind", "M2", "--n", "3",
+                             "--m", "256")
+    assert (code, err) == (0, "")
+    for row in parse_csv(out):
+        x, value = float(row["x"]), float(row["value"])
+        assert max(0, math.ceil((x - 1.0) / 2.0)) ** 2 <= value <= math.floor(x) ** 2
+    code, out, err = run_cli(capsys, "constants", "--lambda", "12", "--n", "3", "--m", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["quadrature_halving_delta"] is not None
 
 
 class TestTable:
@@ -278,6 +290,14 @@ class TestPooledHalving:
         assert self._at(monkeypatch, capsys, "2", *self.ARGV) == inline
         assert len(made_pools) == 1
         assert inline[0] == 0 and json.loads(inline[1])["quadrature_halving_delta"] > 0
+
+    def test_coarse_failure_names_the_requested_resolution(self, capsys):
+        # lam=300 at the default n=7, m=256 fails only on the halving's m=128 grid
+        code, out, err = run_cli(capsys, "constants", "--lambda", "300")
+        assert (code, out) == (2, "")
+        assert re.fullmatch("error: the halving delta's coarse grid \\(m=128\\) for the requested "
+                            "resolution_m=256 failed: mean count at lam=300 with m=128 is [^\n]*, "
+                            "a larger resolution_m is needed\n", err)
 
     def test_coarse_failure_same_error_at_one_and_two_workers(self, monkeypatch, capsys):
         argv = ("constants", "--lambda", "300", "--n", "12", "--m", "256")
@@ -448,12 +468,23 @@ class TestSimulate:
     @pytest.mark.parametrize("lam, length, message", [
         ("1", "1.5", "error: solver variance reference is zero; the count is "
                      "deterministic at this length\n"),
-    ], ids=["zero-variance"])
+        # on (2, 3] M2 = 3M - 2 and M(2.5) rounds to 2 at this rate
+        ("600", "2.5", "error: solver variance reference is zero; the count is "
+                       "deterministic at this length\n"),
+    ], ids=["zero-variance", "zero-variance-in-doubles"])
     def test_zref_failure_comes_before_simulating(self, capsys, no_simulation, lam, length,
                                                   message):
         code, out, err = run_cli(capsys, "simulate", "--lambda", lam, "--length", length,
                                  "--trials", "5", "--zref")
         assert (code, out, err) == (2, "", message)
+
+    def test_zref_too_coarse_names_its_fixed_resolution(self, capsys, no_simulation):
+        code, out, err = run_cli(capsys, "simulate", "--lambda", "600", "--length", "10",
+                                 "--trials", "10", "--zref")
+        assert (code, out) == (2, "")
+        assert re.fullmatch("error: --zref solves its references at the fixed resolution_m=256, and "
+                            "they failed: mean count at lam=600 with m=256 is [^\n]*; --zref cannot "
+                            "raise it, so drop --zref, or lower the rate or the length\n", err)
 
     def test_zref_below_the_report_cutoff(self, capsys):
         # the references are the rated solves, which run at every accepted

@@ -593,6 +593,14 @@ class TestPooledHalving:
             assert pool._state == multiprocessing.pool.TERMINATE
             assert all(worker.exitcode is not None for worker in pool._pool)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_coarse_failure_names_the_requested_resolution(self, monkeypatch, threads):
+        monkeypatch.setenv("PARKLAB_THREADS", threads)
+        with pytest.raises(DomainError, match="^the halving delta's coarse grid \\(m=128\\) for the "
+                                              "requested resolution_m=256 failed: mean count at "
+                                              "lam=300 with m=128 is "):
+            constants_report(300.0, 12, 256, with_halving_delta=True)
+
     def test_fine_failure_in_the_worker_comes_back_unchanged(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         parent = os.getpid()

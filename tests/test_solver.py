@@ -22,11 +22,13 @@ from parklab import (
     solve_uniform_mean_derivative,
 )
 from parklab.core import (
+    _count_bounds,
     _interp_segment,
     _mean_derivative_past_two,
     _mean_past_two,
     _node_offsets,
     _panel_weights,
+    _second_moment_past_two,
     lower_count_bound,
     mean_closed,
     mean_derivative_closed,
@@ -156,7 +158,7 @@ class TestSolveMean:
     # every recursion the stepper serves, with the first integer at which
     # its segments join; both derivative kinds keep their jump at x = 2
     @pytest.mark.parametrize(
-        "build, continuous_from",
+        "build, joins_from",
         [
             (lambda: solve_mean(Params(0.8, 7, 64)), 2),
             (lambda: solve_mean(Params(1e-8, 7, 64)), 2),
@@ -167,11 +169,11 @@ class TestSolveMean:
         ],
         ids=["M", "M_uniform", "M2", "Mprime", "Mprime_seed2", "uniformMprime"],
     )
-    def test_segments_join_continuously(self, build, continuous_from):
+    def test_segments_join_continuously(self, build, joins_from):
         g = build()
-        for k in range(continuous_from, 7):
+        for k in range(joins_from, 7):
             assert g.values[k, 0] == g.values[k - 1, -1]
-        if continuous_from == 3:
+        if joins_from == 3:
             assert g.values[2, 0] > g.values[1, -1]  # the jump at x = 2 stays
 
     def test_rate_continuity(self):
@@ -205,6 +207,13 @@ def test_seeds_are_core_closed_forms(lam, m):
     t = _node_offsets(m)
     assert np.array_equal(solve_mean(p).values[2], _mean_past_two(t, lam))
     assert np.array_equal(solve_mean_derivative(p).values[2], _mean_derivative_past_two(t, lam))
+
+
+@pytest.mark.parametrize("seed_upto", [1, 4, 3.0])
+@pytest.mark.parametrize("solve", [solve_mean, solve_mean_derivative])
+def test_seed_upto_is_2_or_3(solve, seed_upto):
+    with pytest.raises(DomainError, match="^seed_upto must be (2 or 3|an integer), got"):
+        solve(Params(1.0, 3, 8), seed_upto=seed_upto)
 
 
 class TestSolveMeanDerivative:
@@ -344,14 +353,31 @@ class TestSolveSecondMoment:
             assert np.all(g2.values[k] <= hi**2)
 
     @pytest.mark.parametrize("lam, n, m", [(690.0, 3, 256), (12.0, 3, 8), (5.0, 3, 2)])
-    def test_too_coarse_for_the_rate_is_rejected(self, lam, n, m):
-        # at n=3 the mean is the exact seed, so only the stepped M2 row 2 can
-        # leave its bounds (M2 <= 4 there)
+    def test_n3_grids_are_seeds_inside_the_squared_bounds(self, lam, n, m):
+        # rows 0..2 are seeds on [0, 3], so nothing at n=3 is stepped; at these
+        # (lam, m) a row 2 stepped by quadrature would leave the bounds [1, 4]
         p = Params(lam, n, m)
-        gm = solve_mean(p)
-        with pytest.raises(DomainError, match=f"second moment at lam={lam:g} with m={m} .*"
-                                              "outside the counting bounds \\[1, 4\\]"):
-            solve_second_moment(p, gm)
+        g2 = solve_second_moment(p, solve_mean(p)).values
+        _, lo, hi = _count_bounds(n, m)
+        assert np.all((lo**2 <= g2) & (g2 <= hi**2))
+
+    @pytest.mark.parametrize("m", [2, 8, 256, 1024])
+    @pytest.mark.parametrize("lam", [2.0**-511, 0.05, 1.0, 5.0, 12.0, 690.0])
+    def test_row_two_is_the_closed_form(self, lam, m):
+        # on (2, 3] the count is 1 or 2, so M2 = 3M - 2, seeded from core bit for bit
+        p = Params(lam, 3, m)
+        g2 = solve_second_moment(p, solve_mean(p))
+        assert np.array_equal(g2.values[2], _second_moment_past_two(_node_offsets(m), lam))
+
+    def test_a_mean_outside_its_bounds_is_caught_in_the_second_moment(self):
+        # M2's own rows are checked as they close: a mean grid pushed up by 2
+        # from x = 2 on drives row 3 of M2 above 9 = floor(x)^2
+        p = Params(1.0, 4, 8)
+        pushed = solve_mean(p).values.copy()
+        pushed[2:] += 2.0
+        with pytest.raises(DomainError, match="^second moment at lam=1 with m=8 is .* outside the "
+                                              "counting bounds \\[4, 9\\]; .*larger resolution_m"):
+            solve_second_moment(p, SegmentedGrid("M", pushed, lam=1.0))
 
     def test_rejects_mismatched_mean_grid(self):
         gm = solve_mean(Params(1.0, 5, 64))
@@ -671,7 +697,7 @@ def _uniform_mean_grid(n, m):
     vals[1] = 1.0
     vals[2] = 1.0 + 2.0 * offs / (1.0 + offs)
     solver._march(vals, 0.0, 3, [(vals, lambda s, offs: 1.0, False)],
-                  lambda s, x, ints: 2.0 * ints[0] / x + 1.0, 2)
+                  lambda s, x, ints: 2.0 * ints[0] / x + 1.0)
     return vals
 
 
