@@ -4,8 +4,10 @@ simulation runs, and the validation suite.
 The parser only parses; the library checks every value, and a DomainError
 exits 2 with ``error: <message>``, the message naming the library's parameter
 (``--lambda`` is ``rate lam``, ``--n`` is ``horizon_n``, ``--m`` is
-``resolution_m``).  Each input is checked before anything is solved or
-simulated.
+``resolution_m``).  The CLI's own rules (``--lambda`` for rated ``table``
+kinds, the sweep range, ``--zref``'s zero variance and ``--criteria``) raise
+DomainErrors too, so ``main`` writes every ``error:`` line.  Each input is
+checked before anything is solved or simulated.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error.  CSV uses comma
 separators and LF line endings; numeric fields carry 17 significant digits so
@@ -88,15 +90,14 @@ def _cmd_table(args) -> int:
         grid = _solver.solve_uniform_mean_derivative(args.n, args.m)
     else:
         if args.lam is None:
-            print("error: --lambda is required for rated grids", file=sys.stderr)
-            return 2
+            raise DomainError("--lambda is required for rated grids")
         params = Params(args.lam, args.n, args.m)
         if args.kind == "M":
             grid = _solver.solve_mean(params)
         elif args.kind == "Mprime":
             grid = _solver.solve_mean_derivative(params)
         else:
-            grid = _solver.solve_second_moment(params, _solver.solve_mean(params))
+            grid = _constants._mean_grids(params)[1]
     out = sys.stdout
     out.write("x,value,segment\n")
     for k in range(grid.horizon_n):
@@ -120,8 +121,7 @@ def _cmd_sweep(args) -> int:
     _check_rate(args.lam_max)  # solved only if steps > 1, and then above lam_min
     _check_int("steps", args.steps, lambda s: s >= 1, "an integer >= 1")
     if args.lam_min >= args.lam_max and args.steps > 1:
-        print("error: --lambda-min must be below --lambda-max", file=sys.stderr)
-        return 2
+        raise DomainError("--lambda-min must be below --lambda-max")
     # All rates are solved before anything is written, largest first: the solvers'
     # ceiling and a too-coarse --m reject the largest rate first, so a failing
     # sweep fails on its first report.
@@ -140,8 +140,7 @@ def _cmd_simulate(args) -> int:
         n_ref = max(3, math.ceil(args.length))
         params = Params(args.lam, n_ref, _ZREF_RESOLUTION)
         try:
-            m_grid = _solver.solve_mean(params)
-            m2_grid = _solver.solve_second_moment(params, m_grid)
+            m_grid, m2_grid = _constants._mean_grids(params)
         except DomainError as exc:
             raise DomainError(f"--zref solves its references at the fixed resolution_m="
                               f"{_ZREF_RESOLUTION}, and they failed: {exc}; --zref cannot raise it, "
@@ -149,9 +148,8 @@ def _cmd_simulate(args) -> int:
         mean_ref = m_grid.value(args.length)
         var_ref = m2_grid.value(args.length) - mean_ref**2
         if var_ref <= 0.0:
-            print("error: solver variance reference is zero; the count is "
-                  "deterministic at this length", file=sys.stderr)
-            return 2
+            raise DomainError("solver variance reference is zero; the count is "
+                              "deterministic at this length")
     payload = _mc.run_mc(config).to_dict()
     if args.zref:
         z3, z4 = _mc.z_diagnostics(config, mean_ref, var_ref)
@@ -170,9 +168,7 @@ def _cmd_validate(args) -> int:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
         except ValueError:
-            print(f"error: --criteria takes comma-separated integers, got {args.criteria!r}",
-                  file=sys.stderr)
-            return 2
+            raise DomainError(f"--criteria takes comma-separated integers, got {args.criteria!r}")
     results = _validation.run_checks(quick=args.quick, criteria=criteria)
     for r in results:
         print(r.line())

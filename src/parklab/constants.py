@@ -172,6 +172,13 @@ def _check_tail_args(lam: float, n: int) -> tuple[float, int]:
     return _check_rate(lam, solvable=True), _check_truncation(n)
 
 
+def _check_envelope_args(lam: float, n: int, inf_slope: float, sup_slope: float) -> tuple[float, int]:
+    lam, n = _check_tail_args(lam, n)
+    if not (0.0 <= inf_slope <= sup_slope):
+        raise DomainError(f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
+    return lam, n
+
+
 # ---------------------------------------------------------------------------
 # Envelope tails: the mean beyond the horizon is trapped between the lines
 # value_at_n + inf_slope*(x - n) and value_at_n + sup_slope*(x - n).
@@ -190,20 +197,15 @@ def envelope_mean_tail(
     integral(lam^2 * x * mean * e^(-lam*x)).  Closed forms are elementary
     exponential-polynomial integrals, oracle-checked in the tests.
     """
-    lam, n = _check_tail_args(lam, n)
-    if not (0.0 <= inf_slope <= sup_slope):
-        raise DomainError(
-            f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
+    lam, n = _check_envelope_args(lam, n, inf_slope, sup_slope)
     if power not in (0, 1):
         raise DomainError(f"power must be 0 or 1, got {power!r}")
     e_n = math.exp(-lam * n)
     if power == 0:
-        lower = e_n * (value_at_n + inf_slope / lam)
-        upper = e_n * (value_at_n + sup_slope / lam)
+        tail = lambda slope: e_n * (value_at_n + slope / lam)
     else:
-        lower = e_n * (value_at_n * (lam * n + 1.0) + inf_slope * (lam * n + 2.0) / lam)
-        upper = e_n * (value_at_n * (lam * n + 1.0) + sup_slope * (lam * n + 2.0) / lam)
-    return TailBound(lower, upper, n)
+        tail = lambda slope: e_n * (value_at_n * (lam * n + 1.0) + slope * (lam * n + 2.0) / lam)
+    return TailBound(tail(inf_slope), tail(sup_slope), n)
 
 
 def envelope_second_moment_tail(
@@ -220,10 +222,7 @@ def envelope_second_moment_tail(
     moment is at most floor(x) times the mean's upper envelope; that side
     reuses the floor-tail series.
     """
-    lam, n = _check_tail_args(lam, n)
-    if not (0.0 <= inf_slope <= sup_slope):
-        raise DomainError(
-            f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
+    lam, n = _check_envelope_args(lam, n, inf_slope, sup_slope)
     a = value_at_n
     e_n = math.exp(-lam * n)
     lower = e_n * (a * a + 2.0 * a * inf_slope / lam + 2.0 * inf_slope**2 / lam**2)
@@ -401,7 +400,8 @@ def constants_report(
     so a rate above the solvers' ceiling raises before anything is solved or forked.
 
     with_halving_delta also reports at about m/2 and returns the m report
-    with ``quadrature_halving_delta``, the largest endpoint change.  When
+    with ``quadrature_halving_delta``, the largest endpoint change; with
+    horizon_n > 0 it needs resolution_m >= 4, so that the two differ.  When
     ``_resolve_workers`` gives the m report's M2 product panels two workers
     (never in a pool worker), a one-worker pool builds rows 1..k-1 of that
     grid (``_split_row``) while this process solves the coarse report, then
@@ -424,6 +424,9 @@ def constants_report(
               if horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF else None)
 
     if with_halving_delta:
+        if horizon_n > 0 and resolution_m < 4:
+            raise DomainError(f"the halving delta halves resolution_m, so it needs resolution_m >= 4 "
+                              f"when horizon_n > 0, got {resolution_m}")
         panels = resolution_m * ((horizon_n - 1) ** 2 - 1) if params is not None else 0
         if _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) == 1:
             coarse = _coarse_report(lam, horizon_n, resolution_m, tail_method)
@@ -450,7 +453,7 @@ def constants_report(
 
 def _coarse_report(lam: float, horizon_n: int, resolution_m: int, tail_method: str) -> ConstantsReport:
     """The halving delta's report at about resolution_m / 2; its DomainError names both resolutions."""
-    half_m = max(2, resolution_m // 2 + (resolution_m // 2) % 2)
+    half_m = resolution_m // 2 + (resolution_m // 2) % 2
     try:
         return constants_report(lam, horizon_n, half_m, tail_method)
     except DomainError as exc:

@@ -40,7 +40,7 @@ import os
 import signal
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -96,15 +96,8 @@ class SimStats:
     histogram: dict[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean": self.mean,
-            "variance": self.variance,
-            "stderr_mean": self.stderr_mean,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-        }
+        return {**asdict(self),
+                "histogram": {str(k): v for k, v in sorted(self.histogram.items())}}
 
 
 def _place(lam: float, free: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -157,14 +150,16 @@ def _trial_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, batch], dtype=np.uint64)))
 
 
-def _simulate_chunk(args: tuple[float, float, int, int, int, int]) -> Counter:
-    """Histogram of the counts of batches [first, stop) of a run of ``trials``."""
-    lam, length, seed, trials, first, stop = args
-    size = _batch_size(length)
+def _simulate_chunk(job: tuple[SimConfig, int, int]) -> Counter:
+    """Histogram of the counts of batches [first, stop) of a run, from the job
+    ``(config, first, stop)``."""
+    config, first, stop = job
+    size = _batch_size(config.length)
     hist: Counter = Counter()
     for batch in range(first, stop):
-        counts = _saturation_counts(lam, length, min(size, trials - batch * size),
-                                    _trial_rng(seed, batch))
+        counts = _saturation_counts(config.lam, config.length,
+                                    min(size, config.trials - batch * size),
+                                    _trial_rng(config.seed, batch))
         hist.update(counts.tolist())
     return hist
 
@@ -210,14 +205,14 @@ def _pool(workers: int) -> multiprocessing.pool.Pool:
     return multiprocessing.Pool(workers, initializer=_default_sigterm)
 
 
-def _jobs(config: SimConfig, workers: int) -> list[tuple[float, float, int, int, int, int]]:
-    """``_simulate_chunk`` arguments covering config's batches: one chunk for
-    one worker, else 4*workers chunks of consecutive batches."""
+def _jobs(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int]]:
+    """``_simulate_chunk`` jobs ``(config, first, stop)`` covering config's
+    batches: one chunk for one worker, else 4*workers chunks of consecutive
+    batches."""
     batches = -(-config.trials // _batch_size(config.length))
     edges = np.linspace(0, batches, 4 * workers + 1).astype(int) if workers > 1 \
         else np.array([0, batches])
-    return [(config.lam, config.length, config.seed, config.trials, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    return [(config, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
 # Runs started by ``_started_runs``: config -> (perf_counter() at submission,

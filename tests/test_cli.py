@@ -57,6 +57,7 @@ _REJECTED = {
     "table-m-odd": ("table --lambda 1 --kind M --n 3 --m 3", _EVEN_M + "3"),
     "table-uniform-m": ("table --kind uniformMprime --m 0", _EVEN_M + "0"),
     "table-above-ceiling": ("table --lambda 710 --kind M", _CEILING.format("696.0873209436611", 7)),
+    "table-no-rate": ("table --kind M", "error: --lambda is required for rated grids"),
     "table-m-text": ("table --lambda 1 --kind M --m x",
                      "parklab table: error: argument --m: invalid int value: 'x'"),
     "constants-rate-inf": ("constants --lambda inf", _RATE + "inf"),
@@ -71,6 +72,10 @@ _REJECTED = {
                                              _N0_CEILING.format(shown))
        for lam, shown in [("709", "709"), ("709.8", "709.79999999999995"), ("800", "800"),
                           ("1e5", "100000"), ("1e308", "1e+308")]},
+    # at m=2 the halved grid would be the requested one, and the delta a vacuous 0.0
+    "constants-halving-m-two": ("constants --lambda 1 --m 2",
+                                "error: the halving delta halves resolution_m, so it needs "
+                                "resolution_m >= 4 when horizon_n > 0, got 2"),
     "constants-n-text": ("constants --lambda 1 --n 2.5",
                          "parklab constants: error: argument --n: invalid int value: '2.5'"),
     "sweep-min-zero": ("sweep --lambda-min 0 --lambda-max 1 --steps 2", _RATE + "0.0"),
@@ -82,6 +87,8 @@ _REJECTED = {
                     "error: horizon_n must be 0 or an integer >= 3, got 1"),
     "sweep-above-ceiling": ("sweep --lambda-min 1 --lambda-max 710 --steps 3",
                             _CEILING.format("696.0873209436611", 7)),
+    "sweep-empty-range": ("sweep --lambda-min 2 --lambda-max 1 --steps 2",
+                          "error: --lambda-min must be below --lambda-max"),
     "sweep-m-odd": ("sweep --lambda-min 1 --lambda-max 2 --steps 2 --m 7", _EVEN_M + "7"),
     "simulate-rate-zero": ("simulate --lambda 0 --length 3 --trials 1", _RATE + "0.0"),
     "simulate-trials-zero": ("simulate --lambda 1 --length 3 --trials 0",
@@ -451,6 +458,16 @@ class TestSimulate:
         payload = json.loads(out)
         assert {"zref_mean", "zref_variance", "z_skewness", "z_excess_kurtosis"} <= set(payload)
         assert payload["zref_variance"] > 0
+
+    def test_json_keys_in_order(self, capsys):
+        keys = ["trials", "mean", "variance", "stderr_mean", "skewness", "excess_kurtosis",
+                "histogram"]
+        args = ["simulate", "--lambda", "1", "--length", "5", "--trials", "50"]
+        _, out, _ = run_cli(capsys, *args)
+        assert list(json.loads(out)) == keys
+        _, out, _ = run_cli(capsys, *args, "--zref")
+        assert list(json.loads(out)) == keys + ["zref_mean", "zref_variance", "z_skewness",
+                                                "z_excess_kurtosis"]
 
     @pytest.fixture
     def no_simulation(self, monkeypatch):

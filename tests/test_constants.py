@@ -413,6 +413,22 @@ class TestReports:
         rep = constants_report(1.0, 0, 64, "crude")
         assert rep.horizon_n == 0
 
+    @pytest.mark.parametrize("lam", [1.0, 1e-7], ids=["rated", "uniform-fallback"])
+    def test_a_solved_halving_at_m_two_is_rejected_before_solving(self, monkeypatch, lam):
+        # m=2 would halve to itself and report a vacuous delta of 0.0
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before rejecting the input")
+
+        monkeypatch.setattr(solver, "_march", refuse)
+        with pytest.raises(DomainError, match="^the halving delta halves resolution_m, so it "
+                                              "needs resolution_m >= 4 when horizon_n > 0, got 2$"):
+            constants_report(lam, 7, 2, with_halving_delta=True)
+
+    def test_halving_deltas_at_the_smallest_resolutions(self):
+        assert constants_report(1.0, 0, 2, "crude", with_halving_delta=True) \
+            .quadrature_halving_delta == 0.0  # nothing solved, so nothing moves
+        assert constants_report(1.0, 7, 4, with_halving_delta=True).quadrature_halving_delta > 0.0
+
     @pytest.mark.parametrize("lam, n, tail", [(1.0, 0, "crude"), (1.0, 7, "crude"),
                                               (1e-7, 7, "envelope")],
                              ids=["step-bound", "rated", "uniform-fallback"])
