@@ -49,21 +49,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--lambda", dest="lam", type=float,
                          help="placement rate (ignored for uniformMprime)")
     p_table.add_argument("--kind", required=True, choices=GRID_KINDS)
-    p_table.add_argument("--n", type=int, default=7)
-    p_table.add_argument("--m", type=int, default=256)
+    p_table.add_argument("--n", type=int, default=Params.horizon_n)
+    p_table.add_argument("--m", type=int, default=Params.resolution_m)
 
     p_const = sub.add_parser("constants", help="bracket the asymptotic constants as JSON")
     p_const.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_const.add_argument("--n", type=int, default=7)
-    p_const.add_argument("--m", type=int, default=256)
+    p_const.add_argument("--n", type=int, default=Params.horizon_n)
+    p_const.add_argument("--m", type=int, default=Params.resolution_m)
     p_const.add_argument("--tail", choices=TAIL_METHODS, default="envelope")
 
     p_sweep = sub.add_parser("sweep", help="constants over a rate range as CSV")
     p_sweep.add_argument("--lambda-min", dest="lam_min", type=float, required=True)
     p_sweep.add_argument("--lambda-max", dest="lam_max", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--n", type=int, default=7)
-    p_sweep.add_argument("--m", type=int, default=256)
+    p_sweep.add_argument("--n", type=int, default=Params.horizon_n)
+    p_sweep.add_argument("--m", type=int, default=Params.resolution_m)
     p_sweep.add_argument("--tail", choices=TAIL_METHODS, default=None,
                          help="override the default switch to crude tails at rate 3")
 

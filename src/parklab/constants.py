@@ -384,8 +384,8 @@ _MIN_PANELS_PER_WORKER = 15_000
 
 def constants_report(
     lam: float,
-    horizon_n: int = 7,
-    resolution_m: int = 256,
+    horizon_n: int = Params.horizon_n,
+    resolution_m: int = Params.resolution_m,
     tail_method: str = "envelope",
     with_halving_delta: bool = False,
 ) -> ConstantsReport:

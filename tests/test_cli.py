@@ -531,7 +531,8 @@ class TestValidate:
         assert outs[0] == outs[1]
         assert outs[0][0] == 0 and outs[0][1].count("PASS") == 4
 
-    def test_corrupted_solver_fails_validation(self, capsys, monkeypatch):
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
         real = parklab.solver.solve_mean
 
         def corrupted(params, **kwargs):
@@ -541,9 +542,40 @@ class TestValidate:
             return SegmentedGrid(grid.kind, vals, lam=grid.lam)
 
         monkeypatch.setattr(parklab.solver, "solve_mean", corrupted)
+
+    def test_corrupted_solver_fails_validation(self, capsys, corrupted):
         code, out, _ = run_cli(capsys, "validate", "--criteria", "2")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_rejected_grid_fails_its_criterion_and_the_run_goes_on(
+            self, capsys, monkeypatch, corrupted, threads):
+        # the corrupted mean sends the lam=5 second moment over its squared bound
+        monkeypatch.setenv("PARKLAB_THREADS", threads)
+        code, out, err = run_cli(capsys, "validate", "--quick", "--criteria", "2,5,10")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "FAIL  criterion  2 did not finish", "FAIL  criterion  5 did not finish",
+            "PASS  criterion 10 intercept differs from density-1 at lam=1"]
+        assert all("second moment at lam=5" in line for line in lines[:2])
+
+    def test_the_started_simulations_are_collected_after_a_rejected_grid(
+            self, capsys, monkeypatch, made_pools, corrupted):
+        # criterion 8's runs start in the pool before criterion 5 fails
+        monkeypatch.setenv("PARKLAB_THREADS", "2")
+        code, out, _ = run_cli(capsys, "validate", "--quick", "--criteria", "5,8")
+        assert code == 1 and len(made_pools) == 1
+        first, *rest = out.splitlines()
+        assert first.startswith("FAIL  criterion  5 did not finish: second moment at lam=5")
+        assert len(rest) == 3 and all(" criterion  8 " in line for line in rest)
+        assert rest[-1].startswith("PASS  criterion  8 simulation runtime: ")
+
+    def test_run_checks_returns_a_rejected_grid_as_one_failed_result(self, corrupted):
+        result, = parklab.validation.run_checks(quick=True, criteria=[5])
+        assert (result.criterion, result.name, result.passed) == (5, "did not finish", False)
+        assert result.measured.startswith("second moment at lam=5 with m=256 ")
 
     @pytest.mark.parametrize("criteria", [",", ""])
     def test_empty_criteria_selection_rejected(self, capsys, criteria):
