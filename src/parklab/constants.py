@@ -278,8 +278,13 @@ def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, 
 
 
 def density_bracket(lam: float, p: Bracket) -> Bracket:
-    """Enclosure of the limiting packing density mean(x)/x, from P."""
-    return Bracket(_density_from_p(lam, p.lo), _density_from_p(lam, p.hi))
+    """Enclosure of the limiting packing density mean(x)/x, from P, within [1/2, 1]."""
+    return _density_within_counts(_density_from_p(lam, p.lo), _density_from_p(lam, p.hi))
+
+
+def _density_within_counts(lo: float, hi: float) -> Bracket:
+    """[lo, hi] intersected with [1/2, 1]: the count lies between ceil((x-1)/2) and floor(x)."""
+    return Bracket(max(lo, 0.5), min(hi, 1.0))
 
 
 def intercept_bracket(lam: float, p: Bracket, x: Bracket) -> Bracket:
@@ -401,14 +406,14 @@ def constants_report(
 
     with_halving_delta also reports at about m/2 and returns the m report
     with ``quadrature_halving_delta``, the largest endpoint change; with
-    horizon_n > 0 it needs resolution_m >= 4, so that the two differ.  When
-    ``_resolve_workers`` gives the m report's M2 product panels two workers
-    (never in a pool worker), a one-worker pool builds rows 1..k-1 of that
-    grid (``_split_row``) while this process solves the coarse report, then
-    the m report's mean, rows k..n-2 and second moment.  The results are the
-    same either way, and so are the errors: the coarse report raises first,
-    naming its own m and the requested one (``_coarse_report``), and a
-    DomainError raised in the worker comes back unchanged.
+    horizon_n > 0 it needs resolution_m >= 4, so that the two differ.  Both
+    reports are solved by the same calls at every PARKLAB_THREADS setting;
+    while they run, ``_worker_rows`` may build part of the m report's M2
+    product grid in a worker, which its ``solve_second_moment`` collects.
+    The results are the same either way, and so are the errors: the coarse
+    report raises first, naming its own m and the requested one
+    (``_coarse_report``), and a DomainError raised in the worker comes back
+    unchanged.
     """
     if tail_method not in TAIL_METHODS:
         raise DomainError(f"unknown tail method {tail_method!r}")
@@ -427,20 +432,9 @@ def constants_report(
         if horizon_n > 0 and resolution_m < 4:
             raise DomainError(f"the halving delta halves resolution_m, so it needs resolution_m >= 4 "
                               f"when horizon_n > 0, got {resolution_m}")
-        panels = resolution_m * ((horizon_n - 1) ** 2 - 1) if params is not None else 0
-        if _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) == 1:
+        with _worker_rows(params):
             coarse = _coarse_report(lam, horizon_n, resolution_m, tail_method)
             fine = constants_report(lam, horizon_n, resolution_m, tail_method)
-        else:
-            k = _split_row(horizon_n)
-            with _mc._pool(1) as pool:
-                pending = pool.apply_async(_fine_rows, (params, k))
-                coarse = _coarse_report(lam, horizon_n, resolution_m, tail_method)
-                m_grid = _solver.solve_mean(params)
-                prod = _solver._product_grid(m_grid.values, lam, (k, horizon_n - 1))
-                prod += pending.get()
-            fine = _report(params, tail_method, m_grid,
-                           _solver._march_second_moment(params, m_grid, prod))
         delta = max(abs(a - b) for a, b in zip(fine.endpoints, coarse.endpoints))
         return dataclasses.replace(fine, quadrature_halving_delta=delta)
 
@@ -501,18 +495,32 @@ def _fine_rows(params: Params, k: int) -> np.ndarray:
     return _solver._product_grid(_solver.solve_mean(params).values, params.lam, (1, k))
 
 
+@contextlib.contextmanager
+def _worker_rows(params: Optional[Params]) -> Iterator[None]:
+    """For the block, a one-worker pool builds rows 1..k-1 of params' M2 product grid, if
+    ``_resolve_workers`` gives its panels two workers (never in a pool worker)."""
+    panels = params.resolution_m * ((params.horizon_n - 1) ** 2 - 1) if params is not None else 0
+    with contextlib.ExitStack() as stack:
+        if _mc._resolve_workers(None, panels, _MIN_PANELS_PER_WORKER) > 1:
+            k = _split_row(params.horizon_n)
+            pending = stack.enter_context(_mc._pool(1)).apply_async(_fine_rows, (params, k))
+            stack.callback(_solver._WORKER_ROWS.reset, _solver._WORKER_ROWS.set({params: (k, pending)}))
+        yield
+
+
 def _uniform_fallback_report(lam: float, horizon_n: int, resolution_m: int) -> ConstantsReport:
     """Report for rates below the uniform cutoff.
 
-    The density and intercept come from the uniform-limit derivative's
-    window extrema (the intercept equals density - 1 in that limit); the
-    variance slope falls back to the pure step-bound bracket at the actual
-    rate, which is valid but very wide down here.
+    The density comes from the uniform-limit derivative's window extrema,
+    kept within [1/2, 1] as in :func:`density_bracket`, and the intercept is
+    density - 1 as in that limit; the variance slope falls back to the pure
+    step-bound bracket at the actual rate, which is valid but very wide
+    down here.
     """
     grid = _solver.solve_uniform_mean_derivative(horizon_n, resolution_m)
     env_inf, env_sup = _envelope.window_extrema(grid, horizon_n)
-    c = Bracket(env_inf, env_sup)
-    b = Bracket(env_inf - 1.0, env_sup - 1.0)
+    c = _density_within_counts(env_inf, env_sup)
+    b = Bracket(c.lo - 1.0, c.hi - 1.0)
     d = _step_bound_brackets(lam)[2]
     return ConstantsReport(lam, horizon_n, resolution_m, "envelope", c, b, d,
                            env_inf, env_sup, None, uniform_fallback=True)

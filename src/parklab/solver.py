@@ -25,8 +25,9 @@ as vectors, in the order a panel-by-panel sum would take.
 
 from __future__ import annotations
 
+import contextvars
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -233,12 +234,11 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
             or m_grid.resolution_m != params.resolution_m):
         raise DomainError("m_grid was solved with different parameters")
 
-    return _march_second_moment(params, m_grid, _product_grid(m_grid.values, params.lam))
-
-
-def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray) -> SegmentedGrid:
-    """Step the second moment on the mean ``m_grid``, given its product grid."""
     lam, n, m = params.lam, params.horizon_n, params.resolution_m
+    k, pending = (_WORKER_ROWS.get() or {}).get(params, (1, None))
+    prod = _product_grid(m_grid.values, lam, (k, n - 1))
+    if pending is not None:
+        prod += pending.get()
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
     vals[2] = _second_moment_past_two(_node_offsets(m), lam)
@@ -252,6 +252,10 @@ def _march_second_moment(params: Params, m_grid: SegmentedGrid, prod: np.ndarray
 # at least one and at most a segment pair's m (31 rows at m=256, 7 at m=1024,
 # and a whole pair up to m=90).
 _SAMPLE_BUFFER_BYTES = 1 << 16
+
+# {params: (k, pending)} while a pool worker builds rows 1..k-1 of params'
+# product grid: solve_second_moment builds rows k.. and adds pending.get().
+_WORKER_ROWS: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("_WORKER_ROWS", default=None)
 
 
 def _product_grid(mvals: np.ndarray, lam: float, rows: tuple[int, int] | None = None) -> np.ndarray:

@@ -281,10 +281,18 @@ class TestConstants:
         assert payload["tail_method"] == "envelope" and payload["uniform_fallback"] is True
         assert run_cli(capsys, "constants", "--lambda", "1e-7") == (0, out, "")
 
+    def test_the_density_stays_within_the_counting_bounds(self, capsys):
+        # the uniform derivative's window extrema here are [0.5, 2.0]; c in [1/2, 1], b = c - 1
+        code, out, err = run_cli(capsys, "constants", "--lambda", "1e-7", "--n", "3", "--m", "4")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["c_lo"], payload["c_hi"], payload["b_lo"], payload["b_hi"]) == (0.5, 1.0, -0.5, 0.0)
+        assert payload["envelope_sup"] == 2.0
+
 
 class TestPooledHalving:
-    # m*((n-1)^2-1) = 30720 product panels: with two workers allowed, the
-    # fine report is solved in a worker
+    # m*((n-1)^2-1) = 30720 product panels: with two workers allowed, a
+    # worker builds rows 1..k-1 of the fine report's product grid
     ARGV = ("constants", "--lambda", "1", "--n", "12", "--m", "256")
 
     def _at(self, monkeypatch, capsys, threads, *argv):

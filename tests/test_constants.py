@@ -270,6 +270,18 @@ class TestDensityBracket:
         p = laplace_bracket(1.0, grid, crude_mean_tail(1.0, 7), 0)
         assert density_bracket(1.0, p) == constants_report(1.0, 7, 64, "crude").c
 
+    def test_kept_within_the_counting_bounds(self):
+        # ceil((x-1)/2) <= count <= floor(x), so c lies in [1/2, 1]
+        assert density_bracket(1.0, Bracket(-5.0, 5.0)) == Bracket(0.5, 1.0)
+        with pytest.raises(DomainError, match="out of order"):
+            density_bracket(1.0, Bracket(2.0, 3.0))  # c in [1.5, 2]: no density fits
+
+    def test_uniform_fallback_clamps_c_before_forming_b(self):
+        # the uniform derivative's window extrema at n=3, m=4 are [0.5, 2.0]
+        rep = constants_report(1e-7, 3, 4, with_halving_delta=True)
+        assert (rep.envelope_inf, rep.envelope_sup) == (0.5, 2.0)
+        assert (rep.c, rep.b) == (Bracket(0.5, 1.0), Bracket(-0.5, 0.0))
+
 
 class TestInterceptBracket:
     @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0, 6.0])
@@ -544,9 +556,29 @@ class TestSharedGrids:
 
 
 class TestPooledHalving:
-    """The halving's fine report in a worker: same reports, same errors."""
+    """Part of the halving's fine product grid in a worker: same calls, reports and errors."""
 
     POOLED = (1.0, 12, 256, "crude")  # 30720 panels, enough for the worker
+
+    def test_same_solver_calls_at_one_and_two_workers(self, monkeypatch, made_pools):
+        # outer, coarse and fine reports, and the coarse and fine M2 solves
+        calls = Counter()
+        for module, name in ((constants, "constants_report"), (solver, "solve_second_moment")):
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        counted = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PARKLAB_THREADS", threads)
+            calls.clear()
+            constants.constants_report(*self.POOLED, with_halving_delta=True)
+            counted[threads] = dict(calls)
+        expected = {"constants_report": 3, "solve_second_moment": 2}
+        assert counted == {"1": expected, "2": expected}
+        assert len(made_pools) == 1
+        assert solver._WORKER_ROWS.get() is None  # the worker's rows are forgotten on exit
 
     def test_reports_equal_at_one_and_two_workers(self, monkeypatch, made_pools):
         monkeypatch.setenv("PARKLAB_THREADS", "1")
@@ -605,6 +637,7 @@ class TestPooledHalving:
         with pytest.raises(DomainError, match="lam=300 with m=128"):
             constants_report(300.0, 12, 256, with_halving_delta=True)
         assert len(made_pools) == (threads == "2")
+        assert solver._WORKER_ROWS.get() is None
         for pool in made_pools:  # the worker is gone once the coarse error leaves
             assert pool._state == multiprocessing.pool.TERMINATE
             assert all(worker.exitcode is not None for worker in pool._pool)

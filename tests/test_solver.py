@@ -1,6 +1,7 @@
 """Quadrature and method-of-steps solvers against independent oracles."""
 
 import contextlib
+import contextvars
 import gc
 import math
 import re
@@ -411,6 +412,54 @@ class TestSolveSecondMoment:
         g2 = solve_second_moment(p, solve_mean(p))
         for x, ref in refs.items():
             assert g2.value(x) == pytest.approx(ref, abs=5e-10)
+
+
+class _StandInRows:
+    """A pool worker's pending product-grid rows: ``get()`` counts its reads."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def get(self):
+        self.reads += 1
+        return self.rows
+
+
+def _solve_with_worker_rows(worker_rows, params, m_grid):
+    """solve_second_moment with ``solver._WORKER_ROWS`` set, in a copied context."""
+    ctx = contextvars.copy_context()
+    ctx.run(solver._WORKER_ROWS.set, worker_rows)
+    return ctx.run(solve_second_moment, params, m_grid)
+
+
+class TestWorkerRows:
+    """A pooled halving's fine solve collects rows 1..k-1 of its product grid from the worker."""
+
+    PARAMS = Params(1.0, 12, 64)
+    K = 9  # constants._split_row(12)
+
+    def test_collected_rows_give_the_plain_grid(self):
+        m_grid = solve_mean(self.PARAMS)
+        worker = _StandInRows(_product_grid(m_grid.values, 1.0, (1, self.K)))
+        collected = _solve_with_worker_rows({self.PARAMS: (self.K, worker)}, self.PARAMS, m_grid)
+        assert worker.reads == 1
+        assert np.array_equal(collected.values, solve_second_moment(self.PARAMS, m_grid).values)
+
+    def test_rows_below_k_come_only_from_the_worker(self):
+        m_grid = solve_mean(self.PARAMS)
+        zeros = _StandInRows(np.zeros_like(m_grid.values))
+        collected = _solve_with_worker_rows({self.PARAMS: (self.K, zeros)}, self.PARAMS, m_grid)
+        plain = solve_second_moment(self.PARAMS, m_grid)
+        assert np.array_equal(collected.values[:3], plain.values[:3])  # seeded rows
+        assert not np.array_equal(collected.values[3], plain.values[3])
+
+    def test_rows_set_for_other_params_are_not_read(self):
+        coarse = Params(1.0, 12, 32)
+        m_grid = solve_mean(coarse)
+        worker = _StandInRows(None)
+        solved = _solve_with_worker_rows({self.PARAMS: (self.K, worker)}, coarse, m_grid)
+        assert worker.reads == 0
+        assert np.array_equal(solved.values, solve_second_moment(coarse, m_grid).values)
 
 
 def _product_node_reference(mvals, lam, s, j):
