@@ -23,17 +23,20 @@ order of ``_saturation_counts``, so results are independent of execution
 order, and all moment accumulation happens in exact integer arithmetic, so
 parallel runs are bit-identical to serial ones.
 
-Runs can also be started ahead of time: inside ``_started_runs(configs)``
-one worker pool simulates every listed config in the background, and
-``run_mc`` on one of them collects its result, so a caller can do other work
-while they run.  With one resolved worker nothing is started and every run
-stays in-process, in call order.
+Every run goes through ``_started_runs(configs)``, which decides once for
+its whole set of simulations how many workers they get, from their total
+work in trial-lengths, trials * ceil(length).  With two or more, one pool
+simulates every listed config in the background from the block's entry, so
+a caller can do other work while they run; with one, each run simulates
+in-process when ``run_mc`` collects it, in call order.  ``run_mc`` on a
+config outside such a block runs it as a set of one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 import multiprocessing
 import os
@@ -56,7 +59,7 @@ __all__ = [
 ]
 
 THREADS_ENV_VAR = "PARKLAB_THREADS"
-_MIN_TRIALS_PER_WORKER = 2000
+_MIN_TRIAL_LENGTHS_PER_WORKER = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -174,15 +177,16 @@ def _default_sigterm() -> None:
 
 
 def _resolve_workers(threads: int | None, work: int,
-                     min_work_per_worker: int = _MIN_TRIALS_PER_WORKER) -> int:
+                     min_work_per_worker: int = _MIN_TRIAL_LENGTHS_PER_WORKER) -> int:
     """Worker processes for ``work`` units, each worker taking at least
     ``min_work_per_worker`` of them; at least 1.
 
     The one rule for every pool parklab starts.  A pool worker (a daemonic
     process, which may start no children) gets 1.  Else threads caps the
     count: None reads PARKLAB_THREADS, 0 means one per CPU this process may
-    run on.  The simulator counts trials (the default minimum is its own) and
-    the halving delta counts the fine report's M2 product panels.
+    run on.  The simulator counts a set's trial-lengths, trials * ceil(length)
+    summed over its configs (the default minimum is its own), and the halving
+    delta counts the fine report's M2 product panels.
     """
     if multiprocessing.current_process().daemon:
         return 1
@@ -207,45 +211,46 @@ def _pool(workers: int) -> multiprocessing.pool.Pool:
 
 def _jobs(config: SimConfig, workers: int) -> list[tuple[SimConfig, int, int]]:
     """``_simulate_chunk`` jobs ``(config, first, stop)`` covering config's
-    batches: one chunk for one worker, else 4*workers chunks of consecutive
-    batches."""
+    batches in 4*workers chunks of consecutive batches."""
     batches = -(-config.trials // _batch_size(config.length))
-    edges = np.linspace(0, batches, 4 * workers + 1).astype(int) if workers > 1 \
-        else np.array([0, batches])
+    edges = np.linspace(0, batches, 4 * workers + 1).astype(int)
     return [(config, int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
 
 
-# Runs started by ``_started_runs``: config -> (perf_counter() at submission,
-# the pool's pending chunk histograms).  None outside the block.
+# Runs registered by ``_started_runs``: config -> (perf_counter() at
+# submission, or None for an in-process run; a callable returning the run's
+# chunk histograms, which an in-process run simulates as they are read).
+# None outside the block.
 _STARTED: contextvars.ContextVar[Optional[dict]] = contextvars.ContextVar("_STARTED", default=None)
 
 
 @contextlib.contextmanager
 def _started_runs(configs: Iterable[SimConfig], threads: int | None = None) -> Iterator[None]:
-    """Simulate ``configs`` in one background pool for the length of the block.
+    """Register ``configs`` for ``run_mc`` to collect for the length of the block.
 
-    The only pooled simulation path.  On entry every config's chunks are
-    submitted, in order, to one pool of the largest worker count
-    ``_resolve_workers`` gives any of them; inside the block ``run_mc`` on a
-    started config waits for and summarizes its chunks.  When every config
-    resolves to one worker nothing is started.  The pool is terminated when
-    the block exits, also on an exception.
+    The one simulation path.  ``_resolve_workers`` gives the whole set one
+    worker count, from its total work in trial-lengths.  With two or more,
+    every config's chunks are submitted on entry, in order, to one pool that
+    runs them in the background; with one, each config simulates in-process
+    when ``run_mc`` collects it.  The pool is terminated when the block exits,
+    also on an exception.
 
-    Running ``validate --quick``'s three simulations inline instead (work
-    counted as trials * ceil(length)) made each 1.3-3x faster in-process, but
-    ``bench/run.py --workload validate`` (5 alternating pairs) read wall_s
-    0.423 -> 0.449 s and peak_rss_mb 32.7 -> 37.9 MB: the first Philox draw
-    imports numpy.random (about 6 MB) into the main process, and this early
-    fork keeps that import in the workers.
+    The minimum work per worker keeps ``validate --quick``'s set (4.0e6
+    trial-lengths) in a pool.  Running its three simulations inline instead
+    made each 1.3-3x faster in-process, but ``bench/run.py --workload
+    validate`` (5 alternating pairs) read wall_s 0.423 -> 0.449 s and
+    peak_rss_mb 32.7 -> 37.9 MB: the first Philox draw imports numpy.random
+    (about 6 MB) into the main process, and this early fork keeps that import
+    in the workers.
     """
     configs = list(configs)
-    workers = [_resolve_workers(threads, c.trials) for c in configs]
-    if max(workers, default=1) == 1:
-        yield
-        return
-    with _pool(max(workers)) as pool:
-        token = _STARTED.set({c: (time.perf_counter(), pool.map_async(_simulate_chunk, _jobs(c, w)))
-                              for c, w in zip(configs, workers)})
+    work = sum(c.trials * math.ceil(c.length) for c in configs)
+    workers = _resolve_workers(threads, work, _MIN_TRIAL_LENGTHS_PER_WORKER) if configs else 1
+    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        token = _STARTED.set({
+            c: (time.perf_counter(), pool.map_async(_simulate_chunk, _jobs(c, workers)).get)
+            if workers > 1 else (None, functools.partial(map, _simulate_chunk, _jobs(c, workers)))
+            for c in configs})
         try:
             yield
         finally:
@@ -253,36 +258,29 @@ def _started_runs(configs: Iterable[SimConfig], threads: int | None = None) -> I
 
 
 def _submitted_at(config: SimConfig) -> float:
-    """perf_counter() time at which a started run of config was submitted;
-    now for a config that was not started."""
+    """perf_counter() time at which a pooled run of config was submitted; now
+    for every other run."""
     run = (_STARTED.get() or {}).get(config)
-    return run[0] if run else time.perf_counter()
+    return run[0] if run and run[0] is not None else time.perf_counter()
 
 
 def run_mc(config: SimConfig, threads: int | None = None) -> SimStats:
     """Simulate config.trials independent saturations and summarize them.
 
-    threads: worker processes; None reads PARKLAB_THREADS, 0 means one per
-    usable CPU, and a pool worker uses none.  Workers take whole batches of
-    trials.  The summary is bit-identical for any worker count because each
-    batch's stream depends only on (seed, batch index), the batches are fixed
-    by config.trials and the batch-size rule, and the reduction is exact
-    integer arithmetic.  A config started by ``_started_runs`` is collected,
-    not simulated again; one that needs workers is started and collected.
+    A config registered by ``_started_runs`` is collected; any other runs in a
+    one-config block of its own, where threads caps the workers (None reads
+    PARKLAB_THREADS, 0 means one per usable CPU, and a pool worker uses none).
+    Workers take whole batches of trials.  The summary is bit-identical for
+    any worker count because each batch's stream depends only on (seed, batch
+    index), the batches are fixed by config.trials and the batch-size rule,
+    and the reduction is exact integer arithmetic.
     """
-    workers = _resolve_workers(threads, config.trials)
-    run = (_STARTED.get() or {}).get(config)
-    if run:
-        parts = run[1].get()
-    elif workers == 1:
-        parts = [_simulate_chunk(j) for j in _jobs(config, 1)]
-    else:
-        with _started_runs([config], threads):
-            parts = _STARTED.get()[config][1].get()
-    return _summarize(config, parts)
+    started = config in (_STARTED.get() or {})
+    with contextlib.nullcontext() if started else _started_runs([config], threads):
+        return _summarize(config, _STARTED.get()[config][1]())
 
 
-def _summarize(config: SimConfig, parts: list[Counter]) -> SimStats:
+def _summarize(config: SimConfig, parts: Iterable[Counter]) -> SimStats:
     """SimStats of a run from its chunks' count histograms."""
     hist = dict(sorted(sum(parts, Counter()).items()))
     s1, s2, s3, s4 = (sum(f * k**p for k, f in hist.items()) for p in range(1, 5))

@@ -4,6 +4,8 @@ import multiprocessing
 
 import pytest
 
+from parklab import montecarlo
+
 
 @pytest.fixture
 def made_pools(monkeypatch) -> list:
@@ -17,3 +19,10 @@ def made_pools(monkeypatch) -> list:
 
     monkeypatch.setattr(multiprocessing, "Pool", counting)
     return made
+
+
+@pytest.fixture
+def small_sets_pool(monkeypatch) -> None:
+    """Lets a set of simulations start a pool from 10,000 trial-lengths per
+    worker, so that short test runs still exercise the pooled path."""
+    monkeypatch.setattr(montecarlo, "_MIN_TRIAL_LENGTHS_PER_WORKER", 10_000)

@@ -570,7 +570,7 @@ class TestValidate:
         assert all("second moment at lam=5" in line for line in lines[:2])
 
     def test_the_started_simulations_are_collected_after_a_rejected_grid(
-            self, capsys, monkeypatch, made_pools, corrupted):
+            self, capsys, monkeypatch, made_pools, small_sets_pool, corrupted):
         # criterion 8's runs start in the pool before criterion 5 fails
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         code, out, _ = run_cli(capsys, "validate", "--quick", "--criteria", "5,8")

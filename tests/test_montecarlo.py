@@ -204,10 +204,10 @@ class TestRunMc:
         cfg = SimConfig(1.0, 12.0, 5000, seed=11)
         assert run_mc(cfg) == run_mc(cfg)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, small_sets_pool):
         # several batches, the last one partial, split among 1, 2 and 3 workers
         trials = 6 * 1024 + 37
-        assert _resolve_workers(3, trials) == 3
+        assert _resolve_workers(3, trials * 15, montecarlo._MIN_TRIAL_LENGTHS_PER_WORKER) == 3
         cfg = SimConfig(1.0, 15.0, trials, seed=13)
         serial = run_mc(cfg, threads=1)
         assert serial == run_mc(cfg, threads=2) == run_mc(cfg, threads=3)
@@ -323,7 +323,7 @@ class TestStartedRuns:
 
     @pytest.mark.parametrize("threads, pools", [("1", 0), ("2", 1)])
     def test_started_runs_equal_plain_runs_from_one_pool(self, monkeypatch, made_pools,
-                                                         threads, pools):
+                                                         small_sets_pool, threads, pools):
         monkeypatch.setenv("PARKLAB_THREADS", threads)
         plain = [run_mc(self.A), run_mc(self.B)]
         made_pools.clear()
@@ -332,7 +332,7 @@ class TestStartedRuns:
         # one resolved worker: nothing is started and both run in-process
         assert len(made_pools) == pools
 
-    def test_a_config_not_started_runs_as_before(self, monkeypatch, made_pools):
+    def test_a_config_not_started_runs_as_before(self, monkeypatch, made_pools, small_sets_pool):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         plain = run_mc(self.B)
         made_pools.clear()
@@ -347,7 +347,8 @@ class TestStartedRuns:
             in_worker = pool.apply(run_mc, (self.A,))
         assert in_worker == run_mc(self.A)
 
-    def test_pool_is_terminated_when_the_block_raises(self, monkeypatch, made_pools):
+    def test_pool_is_terminated_when_the_block_raises(self, monkeypatch, made_pools,
+                                                      small_sets_pool):
         monkeypatch.setenv("PARKLAB_THREADS", "2")
         with pytest.raises(KeyError):
             with _started_runs([self.A, self.B]):
@@ -356,6 +357,47 @@ class TestStartedRuns:
         assert pool._state == multiprocessing.pool.TERMINATE
         assert all(worker.exitcode is not None for worker in pool._pool)
         assert montecarlo._STARTED.get() is None
+
+    @pytest.mark.parametrize("configs, workers", [
+        ([SimConfig(1.0, 10.0, 4000, seed=5)], 1),  # 4e4 trial-lengths
+        ([SimConfig(1.0, 10.0, 199_999)], 1),  # 1,999,990
+        ([SimConfig(1.0, 9.5, 200_000)], 2),  # ceil(9.5) * 200,000 = 2e6
+        ([SimConfig(1.0, 30.0, 10_000), SimConfig(1.0, 60.0, 20_000),
+          SimConfig(1.0, 500.0, 5_000)], 4),  # validate --quick's set, 4.0e6
+    ], ids=["short", "just-below-two", "two-million", "validate-quick"])
+    def test_a_set_gets_one_worker_per_million_trial_lengths(self, monkeypatch, made_pools,
+                                                            configs, workers):
+        monkeypatch.setenv("PARKLAB_THREADS", "4")
+        with _started_runs(configs):
+            pass
+        assert [pool._processes for pool in made_pools] == ([workers] if workers > 1 else [])
+
+    def test_in_process_runs_simulate_when_collected(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "1")
+        simulated = []
+        real = montecarlo._simulate_chunk
+
+        def counting(job):
+            simulated.append(job[0])
+            return real(job)
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", counting)
+        plain = run_mc(self.A)
+        simulated.clear()
+        with _started_runs([self.A, self.B]):
+            assert simulated == []
+            assert run_mc(self.A) == plain
+            assert set(simulated) == {self.A}
+
+    def test_only_a_set_with_work_reads_the_thread_setting(self, monkeypatch):
+        monkeypatch.setenv("PARKLAB_THREADS", "x")
+        with _started_runs([]):
+            pass
+        with pytest.raises(DomainError, match="^PARKLAB_THREADS must be an integer, got 'x'$"):
+            run_mc(self.A)
+        monkeypatch.delenv("PARKLAB_THREADS")
+        with pytest.raises(DomainError, match="^thread count must be >= 0, got -1$"):
+            run_mc(self.A, threads=-1)
 
 
 class TestZDiagnostics:

@@ -13,7 +13,7 @@ from parklab import Params, constants, constants_report, solver, validation
 from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
 
 
-def test_simulation_runtime_covers_the_started_runs(monkeypatch):
+def test_simulation_runtime_covers_the_started_runs(monkeypatch, small_sets_pool):
     # criterion 2 runs first, while criterion 8's simulations run in the pool
     monkeypatch.setenv("PARKLAB_THREADS", "2")
     spans = []
@@ -35,6 +35,37 @@ def test_simulation_runtime_covers_the_started_runs(monkeypatch):
     assert len(spans) == 2
     submit_to_done = max(end for _, end in spans) - min(start for start, _ in spans)
     assert reading + 0.05 >= submit_to_done  # the reading is printed to 0.1 s
+
+
+def test_in_process_simulation_runtime_excludes_earlier_criteria(monkeypatch):
+    # at one thread criterion 8 simulates when it collects, so its clock starts there
+    monkeypatch.setenv("PARKLAB_THREADS", "1")
+    check_2, check_8 = validation.CRITERIA[2], validation.CRITERIA[8]
+    span = []
+
+    def slow_2(quick):
+        time.sleep(0.3)
+        return check_2(quick)
+
+    def timed_8(quick):
+        span.append(time.perf_counter())
+        try:
+            return check_8(quick)
+        finally:
+            span.append(time.perf_counter())
+
+    monkeypatch.setitem(validation.CRITERIA, 2, slow_2)
+    monkeypatch.setitem(validation.CRITERIA, 8, timed_8)
+    results = validation.run_checks(quick=True, criteria=[2, 8])
+    runtime, = [r for r in results if r.name == "simulation runtime"]
+    reading = float(runtime.measured.split("s ")[0])
+    assert reading <= span[1] - span[0] + 0.05  # the reading is printed to 0.1 s
+
+
+def test_criteria_without_simulations_ignore_a_malformed_thread_setting(monkeypatch):
+    monkeypatch.setenv("PARKLAB_THREADS", "x")
+    results = validation.run_checks(quick=True, criteria=[1])
+    assert results and all(r.passed for r in results)
 
 
 def _verdict_lines(criteria):
