@@ -51,12 +51,9 @@ __all__ = [
     "UNIFORM_RATE_CUTOFF",
     "TailBound",
     "truncated_laplace",
-    "crude_mean_tail",
-    "crude_xmean_tail",
-    "crude_second_moment_tail",
+    "crude_tails",
     "crude_width_formula",
-    "envelope_mean_tail",
-    "envelope_second_moment_tail",
+    "envelope_tails",
     "laplace_bracket",
     "density_bracket",
     "intercept_bracket",
@@ -89,14 +86,12 @@ def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Crude tails: geometric series of the step bounds, summed from k = n.
-# Each closed form below is the exact telescoped series (unit intervals for
-# the floor side, odd-index increments for the ceiling side) and is pinned
-# against a brute-force series oracle in the test suite.
-
-def _first_odd_from(n: int) -> int:
-    return n + 1 if n % 2 == 0 else n + 2
-
+# Tails of the triple (P, X, P2): the integrals over n..inf of lam*mean*e^(-lam*x),
+# lam^2*x*mean*e^(-lam*x) and lam*second_moment*e^(-lam*x), one TailBound each.
+# crude_tails sums the step bounds as geometric series from k = n.  Each closed
+# form there is the exact telescoped series (unit intervals for the floor side,
+# odd-index increments for the ceiling side) and is pinned against a
+# brute-force series oracle in the test suite.
 
 def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
     """The crude tail [lower, upper] with each end moved outward by one ulp, keeping them in order.
@@ -106,48 +101,31 @@ def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
     return TailBound(math.nextafter(lower, -math.inf), math.nextafter(upper, math.inf), n)
 
 
-def crude_mean_tail(lam: float, n: int) -> TailBound:
-    """Bounds on the tail of integral(lam * mean * e^(-lam*x), x = n..inf)."""
+def crude_tails(lam: float, n: int) -> tuple[TailBound, TailBound, TailBound]:
+    """Tails (P, X, P2) from truncation point n, between the counting bounds.
+
+    The count lies between ceil((x-1)/2) and floor(x), and its square
+    between their squares.
+    """
     lam, n = _check_tail_args(lam, n)
     q = math.exp(-lam)
+    qq = q * q
     one_q = -math.expm1(-lam)
-    one_q2 = -math.expm1(-2.0 * lam)
-    upper = math.exp(-lam * n) * (n - (n - 1) * q) / one_q
-    j0 = _first_odd_from(n)
-    lower = math.ceil(n / 2) * math.exp(-lam * n) + math.exp(-lam * j0) / one_q2
-    return _crude_bound(lower, upper, n)
-
-
-def crude_xmean_tail(lam: float, n: int) -> TailBound:
-    """Bounds on the tail of integral(lam^2 * x * mean * e^(-lam*x), n..inf)."""
-    lam, n = _check_tail_args(lam, n)
-    q = math.exp(-lam)
-    one_q = -math.expm1(-lam)
-    big_q = q * q
-    one_bq = -math.expm1(-2.0 * lam)
-    upper = (n * (lam * n + 1.0) * math.exp(-lam * n)
-             + lam * math.exp(-lam * (n + 1)) * ((n + 1) - n * q) / one_q**2
-             + math.exp(-lam * (n + 1)) / one_q)
-    j0 = _first_odd_from(n)
-    lower = (math.ceil(n / 2) * (lam * n + 1.0) * math.exp(-lam * n)
-             + math.exp(-lam * j0) * ((lam * j0 + 1.0) * one_bq + 2.0 * lam * big_q) / one_bq**2)
-    return _crude_bound(lower, upper, n)
-
-
-def crude_second_moment_tail(lam: float, n: int) -> TailBound:
-    """Bounds on the tail of integral(lam * second_moment * e^(-lam*x), n..inf)."""
-    lam, n = _check_tail_args(lam, n)
-    q = math.exp(-lam)
-    one_q = -math.expm1(-lam)
-    big_q = q * q
-    one_bq = -math.expm1(-2.0 * lam)
-    upper = (n * n * math.exp(-lam * n)
-             + 2.0 * math.exp(-lam * (n + 1)) * ((n + 1) - n * q) / one_q**2
-             - math.exp(-lam * (n + 1)) / one_q)
-    j0 = _first_odd_from(n)
-    lower = (math.ceil(n / 2) ** 2 * math.exp(-lam * n)
-             + math.exp(-lam * j0) * (j0 * one_bq + 2.0 * big_q) / one_bq**2)
-    return _crude_bound(lower, upper, n)
+    one_qq = -math.expm1(-2.0 * lam)
+    e_n = math.exp(-lam * n)
+    e_n1 = math.exp(-lam * (n + 1))
+    rise = (n + 1) - n * q
+    half = math.ceil(n / 2)
+    j0 = n + 1 if n % 2 == 0 else n + 2  # first odd index > n
+    e_j0 = math.exp(-lam * j0)
+    return (
+        _crude_bound(half * e_n + e_j0 / one_qq, e_n * (n - (n - 1) * q) / one_q, n),
+        _crude_bound(half * (lam * n + 1.0) * e_n
+                     + e_j0 * ((lam * j0 + 1.0) * one_qq + 2.0 * lam * qq) / one_qq**2,
+                     n * (lam * n + 1.0) * e_n + lam * e_n1 * rise / one_q**2 + e_n1 / one_q, n),
+        _crude_bound(half**2 * e_n + e_j0 * (j0 * one_qq + 2.0 * qq) / one_qq**2,
+                     n * n * e_n + 2.0 * e_n1 * rise / one_q**2 - e_n1 / one_q, n),
+    )
 
 
 def crude_width_formula(lam: float, n: int) -> float:
@@ -172,64 +150,35 @@ def _check_tail_args(lam: float, n: int) -> tuple[float, int]:
     return _check_rate(lam, solvable=True), _check_truncation(n)
 
 
-def _check_envelope_args(lam: float, n: int, inf_slope: float, sup_slope: float) -> tuple[float, int]:
+def envelope_tails(
+    lam: float,
+    n: int,
+    value_at_n: float,
+    inf_slope: float,
+    sup_slope: float,
+) -> tuple[TailBound, TailBound, TailBound]:
+    """Tails (P, X, P2) from the mean's linear envelopes value_at_n + slope*(x - n).
+
+    The mean beyond the horizon lies between the envelopes with slopes
+    inf_slope and sup_slope; P and X integrate them in closed form
+    (elementary exponential-polynomial integrals, oracle-checked in the
+    tests).  Below, the second moment dominates the squared mean, hence the
+    squared lower envelope.  Above, the count never exceeds floor(x), so the
+    second moment is at most floor(x) times the mean's upper envelope; that
+    side reuses the crude upper tails of P and X.
+    """
     lam, n = _check_tail_args(lam, n)
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
-    return lam, n
-
-
-# ---------------------------------------------------------------------------
-# Envelope tails: the mean beyond the horizon is trapped between the lines
-# value_at_n + inf_slope*(x - n) and value_at_n + sup_slope*(x - n).
-
-def envelope_mean_tail(
-    lam: float,
-    n: int,
-    value_at_n: float,
-    inf_slope: float,
-    sup_slope: float,
-    power: int = 0,
-) -> TailBound:
-    """Tail bounds from the linear envelopes of the mean.
-
-    power 0 bounds integral(lam * mean * e^(-lam*x)), power 1 bounds
-    integral(lam^2 * x * mean * e^(-lam*x)).  Closed forms are elementary
-    exponential-polynomial integrals, oracle-checked in the tests.
-    """
-    lam, n = _check_envelope_args(lam, n, inf_slope, sup_slope)
-    if power not in (0, 1):
-        raise DomainError(f"power must be 0 or 1, got {power!r}")
-    e_n = math.exp(-lam * n)
-    if power == 0:
-        tail = lambda slope: e_n * (value_at_n + slope / lam)
-    else:
-        tail = lambda slope: e_n * (value_at_n * (lam * n + 1.0) + slope * (lam * n + 2.0) / lam)
-    return TailBound(tail(inf_slope), tail(sup_slope), n)
-
-
-def envelope_second_moment_tail(
-    lam: float,
-    n: int,
-    value_at_n: float,
-    inf_slope: float,
-    sup_slope: float,
-) -> TailBound:
-    """Tail bounds on integral(lam * second_moment * e^(-lam*x), n..inf).
-
-    Below, the second moment dominates the squared mean, hence the squared
-    lower envelope.  Above, the count never exceeds floor(x), so the second
-    moment is at most floor(x) times the mean's upper envelope; that side
-    reuses the floor-tail series.
-    """
-    lam, n = _check_envelope_args(lam, n, inf_slope, sup_slope)
     a = value_at_n
     e_n = math.exp(-lam * n)
+    p = lambda slope: e_n * (a + slope / lam)
+    x = lambda slope: e_n * (a * (lam * n + 1.0) + slope * (lam * n + 2.0) / lam)
+    tails = TailBound(p(inf_slope), p(sup_slope), n), TailBound(x(inf_slope), x(sup_slope), n)
+    floor_tail, xfloor_tail, _ = (t.hi for t in crude_tails(lam, n))
     lower = e_n * (a * a + 2.0 * a * inf_slope / lam + 2.0 * inf_slope**2 / lam**2)
-    floor_tail = crude_mean_tail(lam, n).hi
-    xfloor_tail = crude_xmean_tail(lam, n).hi
     upper = a * floor_tail + sup_slope * (xfloor_tail / lam - n * floor_tail)
-    return TailBound(lower, upper, n)
+    return (*tails, TailBound(lower, upper, n))
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +264,10 @@ def _brackets(
     lam: float,
     m_grid: Optional[SegmentedGrid],
     m2_grid: Optional[SegmentedGrid],
-    tail: TailBound,
-    xtail: TailBound,
-    tail2: TailBound,
+    tails: tuple[TailBound, TailBound, TailBound],
 ) -> tuple[Bracket, Bracket, Bracket]:
-    """Brackets (c, b, d), enclosing each of P, X and P2 once."""
+    """Brackets (c, b, d), enclosing each of P, X and P2 once from their tails."""
+    tail, xtail, tail2 = tails
     p = laplace_bracket(lam, m_grid, tail, 0)
     b = intercept_bracket(lam, p, laplace_bracket(lam, m_grid, xtail, 1))
     d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, m2_grid, tail2, 0))
@@ -328,8 +276,7 @@ def _brackets(
 
 def _step_bound_brackets(lam: float) -> tuple[Bracket, Bracket, Bracket]:
     """Brackets (c, b, d) from the pure step-bound tails, nothing solved."""
-    return _brackets(lam, None, None, crude_mean_tail(lam, 0), crude_xmean_tail(lam, 0),
-                     crude_second_moment_tail(lam, 0))
+    return _brackets(lam, None, None, crude_tails(lam, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +407,14 @@ def _report(params: Params, tail_method: str, m_grid: SegmentedGrid,
     """The rated report on solved mean and second-moment grids."""
     lam, n = params.lam, params.horizon_n
     if tail_method == "crude":
-        tail = crude_mean_tail(lam, n)
-        xtail = crude_xmean_tail(lam, n)
-        tail2 = crude_second_moment_tail(lam, n)
+        tails = crude_tails(lam, n)
         env_inf = env_sup = None
     else:
         d_grid = _memo(_solver.solve_mean_derivative, params)
         env_inf, env_sup = _envelope.window_extrema(d_grid, n)
-        mean_at_n = float(m_grid.values[n - 1, -1])
-        tail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=0)
-        xtail = envelope_mean_tail(lam, n, mean_at_n, env_inf, env_sup, power=1)
-        tail2 = envelope_second_moment_tail(lam, n, mean_at_n, env_inf, env_sup)
+        tails = envelope_tails(lam, n, float(m_grid.values[n - 1, -1]), env_inf, env_sup)
     return ConstantsReport(lam, n, params.resolution_m, tail_method,
-                           *_brackets(lam, m_grid, m2_grid, tail, xtail, tail2), env_inf, env_sup)
+                           *_brackets(lam, m_grid, m2_grid, tails), env_inf, env_sup)
 
 
 def _split_row(horizon_n: int) -> int:

@@ -18,13 +18,10 @@ from parklab import Bracket, DomainError, Params, constants_report
 from parklab import constants, solver, validation
 from parklab.constants import (
     TailBound,
-    crude_mean_tail,
-    crude_second_moment_tail,
+    crude_tails,
     crude_width_formula,
-    crude_xmean_tail,
     density_bracket,
-    envelope_mean_tail,
-    envelope_second_moment_tail,
+    envelope_tails,
     intercept_bracket,
     laplace_bracket,
     truncated_laplace,
@@ -56,7 +53,7 @@ class TestCrudeTails:
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_mean_tail_matches_series(self, lam, n):
-        t = crude_mean_tail(lam, n)
+        t = crude_tails(lam, n)[0]
         assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k), rel=1e-13)
         assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2)), rel=1e-13)
@@ -64,7 +61,7 @@ class TestCrudeTails:
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_xmean_tail_matches_series(self, lam, n):
-        t = crude_xmean_tail(lam, n)
+        t = crude_tails(lam, n)[1]
         assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k, 1), rel=1e-12)
         assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2), 1), rel=1e-12)
@@ -72,7 +69,7 @@ class TestCrudeTails:
     @pytest.mark.parametrize("lam", LAM_GRID)
     @pytest.mark.parametrize("n", N_GRID)
     def test_second_moment_tail_matches_series(self, lam, n):
-        t = crude_second_moment_tail(lam, n)
+        t = crude_tails(lam, n)[2]
         assert t.hi == pytest.approx(_series_tail(lam, n, lambda k: k * k), rel=1e-12)
         assert t.lo == pytest.approx(
             _series_tail(lam, n, lambda k: math.ceil(k / 2) ** 2), rel=1e-12)
@@ -80,46 +77,47 @@ class TestCrudeTails:
     def test_closed_forms_at_zero_truncation(self):
         lam = 1.3
         q = math.exp(-lam)
-        t = crude_mean_tail(lam, 0)
+        t = crude_tails(lam, 0)[0]
         assert t.hi == pytest.approx(q / (1 - q), rel=1e-14)
         assert t.lo == pytest.approx(q / (1 - q * q), rel=1e-14)
 
     def test_gap_decays_geometrically_in_rate(self):
         # at truncation 7 the gap scales like e^(-7 lam) per unit of rate
-        gaps = [crude_mean_tail(lam, 7).hi - crude_mean_tail(lam, 7).lo
-                for lam in (2.0, 3.0, 4.0)]
+        gaps = [crude_tails(lam, 7)[0].width for lam in (2.0, 3.0, 4.0)]
         for g0, g1 in zip(gaps, gaps[1:]):
             assert g1 / g0 < math.exp(-6.0)
             assert g1 / g0 > math.exp(-8.0)
 
     def test_gap_limit_at_vanishing_rate(self):
         lam = 1e-4
-        t = crude_mean_tail(lam, 7)
+        t = crude_tails(lam, 7)[0]
         width = lam / (lam + 1) * (t.hi - t.lo)
         assert width == pytest.approx(0.5, abs=1e-3)
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_ends_stay_in_order_at_large_rates(self, n):
-        # without outward rounding crude_xmean_tail(lam, 0) inverts from lam ~ 38.03 on
+        # without outward rounding X's tail at n = 0 inverts from lam ~ 38.03 on
         for lam in np.linspace(20.0, 700.0, 4000):
-            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
-                t = tail(float(lam), n)
+            for t in crude_tails(float(lam), n):
                 assert t.lo <= t.hi
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            crude_mean_tail(-1.0, 3)
+            crude_tails(-1.0, 3)
         with pytest.raises(DomainError):
-            crude_mean_tail(1.0, -1)
+            crude_tails(1.0, -1)
         with pytest.raises(DomainError, match="bracket endpoints out of order"):
             TailBound(2.0, 1.0, 3)
         with pytest.raises(DomainError, match="truncation point"):
             TailBound(1.0, 2.0, -1)
 
     TAILS = [
-        crude_mean_tail, crude_xmean_tail, crude_second_moment_tail, crude_width_formula,
-        lambda lam, n: envelope_mean_tail(lam, n, 5.3, 0.7, 0.81, power=1),
-        lambda lam, n: envelope_second_moment_tail(lam, n, 5.3, 0.7, 0.81),
+        lambda lam, n: crude_tails(lam, n)[0],
+        lambda lam, n: crude_tails(lam, n)[1],
+        lambda lam, n: crude_tails(lam, n)[2],
+        crude_width_formula,
+        lambda lam, n: envelope_tails(lam, n, 5.3, 0.7, 0.81)[1],
+        lambda lam, n: envelope_tails(lam, n, 5.3, 0.7, 0.81)[2],
     ]
 
     TAIL_IDS = ["crude_mean", "crude_xmean", "crude_second_moment", "crude_width",
@@ -149,8 +147,7 @@ class TestEnvelopeTails:
 
     @pytest.mark.parametrize("lam,n,a,ci,cs", CASES)
     def test_mean_tail_against_quadrature(self, lam, n, a, ci, cs):
-        t0 = envelope_mean_tail(lam, n, a, ci, cs, power=0)
-        t1 = envelope_mean_tail(lam, n, a, ci, cs, power=1)
+        t0, t1, _ = envelope_tails(lam, n, a, ci, cs)
         for c, got0, got1 in [(ci, t0.lo, t1.lo), (cs, t0.hi, t1.hi)]:
             ref0, _ = quad(lambda x: lam * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
             ref1, _ = quad(lambda x: lam**2 * x * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
@@ -159,7 +156,7 @@ class TestEnvelopeTails:
 
     @pytest.mark.parametrize("lam,n,a,ci,cs", CASES)
     def test_second_moment_tail_against_quadrature(self, lam, n, a, ci, cs):
-        t = envelope_second_moment_tail(lam, n, a, ci, cs)
+        t = envelope_tails(lam, n, a, ci, cs)[2]
         ref_lo, _ = quad(lambda x: lam * (a + ci * (x - n)) ** 2 * math.exp(-lam * x), n, np.inf)
         assert t.lo == pytest.approx(ref_lo, rel=1e-9)
         ref_hi = _series_tail(lam, n, lambda k: k * a) \
@@ -168,17 +165,22 @@ class TestEnvelopeTails:
         assert t.hi == pytest.approx(ref_hi, rel=1e-9)
 
     def test_flat_envelope(self):
-        t = envelope_mean_tail(1.0, 7, 5.0, 0.0, 0.0, power=0)
+        t = envelope_tails(1.0, 7, 5.0, 0.0, 0.0)[0]
         assert t.lo == t.hi == pytest.approx(5.0 * math.exp(-7.0), rel=1e-14)
 
     def test_power_one_unit_case(self):
-        # a + 0*(x-0) with unit value and rate: tail is the full first moment
-        t = envelope_mean_tail(1.0, 0, 1.0, 0.0, 0.0, power=1)
-        assert t.lo == pytest.approx(1.0, rel=1e-14)
+        # the constant envelope 1 from n = 1 at unit rate: X's tail is (lam*n + 1)*e^(-lam*n) = 2/e
+        t = envelope_tails(1.0, 1, 1.0, 0.0, 0.0)[1]
+        assert t.lo == t.hi == pytest.approx(2.0 / math.e, rel=1e-14)
+
+    def test_envelope_above_the_floor_bound_is_rejected(self):
+        # the mean is 0 on [0, 1), so value 1 from n = 0 puts P2's lower end above its floor(x) end
+        with pytest.raises(DomainError, match="out of order"):
+            envelope_tails(1.0, 0, 1.0, 0.0, 0.0)
 
     def test_slope_order_enforced(self):
         with pytest.raises(DomainError):
-            envelope_mean_tail(1.0, 7, 5.0, 0.9, 0.2)
+            envelope_tails(1.0, 7, 5.0, 0.9, 0.2)
 
 
 class TestTruncatedLaplace:
@@ -219,11 +221,11 @@ def _direct_intercept(lam, c, x_weighted):
 
 def _step_p(lam):
     # enclosure of P from the pure step-bound tail, nothing solved
-    return laplace_bracket(lam, None, crude_mean_tail(lam, 0), 0)
+    return laplace_bracket(lam, None, crude_tails(lam, 0)[0], 0)
 
 
 def _step_x(lam):
-    return laplace_bracket(lam, None, crude_xmean_tail(lam, 0), 1)
+    return laplace_bracket(lam, None, crude_tails(lam, 0)[1], 1)
 
 
 def _p_of(lam, c):
@@ -258,7 +260,7 @@ class TestDensityBracket:
 
     def test_grid_required_for_positive_truncation(self):
         with pytest.raises(DomainError):
-            laplace_bracket(1.0, None, crude_mean_tail(1.0, 7), 0)
+            laplace_bracket(1.0, None, crude_tails(1.0, 7)[0], 0)
 
     def test_tail_must_start_at_the_grid_horizon(self):
         # the truncated part covers the whole grid, so a tail from n=5 on a
@@ -266,8 +268,8 @@ class TestDensityBracket:
         grid = solver.solve_mean(Params(1.0, 7, 64))
         for n in (5, 8):
             with pytest.raises(DomainError, match=f"grid horizon 7 differs from truncation point {n}"):
-                laplace_bracket(1.0, grid, crude_mean_tail(1.0, n), 0)
-        p = laplace_bracket(1.0, grid, crude_mean_tail(1.0, 7), 0)
+                laplace_bracket(1.0, grid, crude_tails(1.0, n)[0], 0)
+        p = laplace_bracket(1.0, grid, crude_tails(1.0, 7)[0], 0)
         assert density_bracket(1.0, p) == constants_report(1.0, 7, 64, "crude").c
 
     def test_kept_within_the_counting_bounds(self):
@@ -319,7 +321,7 @@ class TestVarianceSlopeBracket:
         c_pt, b_pt = 0.77, -0.26
         p = Bracket(_p_of(lam, c_pt), _p_of(lam, c_pt))
         b = Bracket(b_pt, b_pt)
-        tail = crude_second_moment_tail(lam, 0)
+        tail = crude_tails(lam, 0)[2]
         d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, None, tail, 0))
         lo_ref = _direct_slope(lam, c_pt, b_pt, tail.lo)
         hi_ref = _direct_slope(lam, c_pt, b_pt, tail.hi)
@@ -340,7 +342,7 @@ class TestVarianceSlopeBracket:
         b_w=st.floats(0.0, 0.05),
     )
     def test_widening_inputs_never_narrows_output(self, lam, c_mid, c_w, b_mid, b_w):
-        p2 = laplace_bracket(lam, None, crude_second_moment_tail(lam, 0), 0)
+        p2 = laplace_bracket(lam, None, crude_tails(lam, 0)[2], 0)
         p_mid = _p_of(lam, c_mid)
         narrow = variance_slope_bracket(lam, Bracket(p_mid, p_mid), Bracket(b_mid, b_mid), p2)
         wide = variance_slope_bracket(
@@ -501,15 +503,13 @@ class TestSmallestRate:
     def test_tails_reject_rates_below_the_limit(self):
         # 1e-200 once divided by zero, 1e-155 gave an infinite tail
         for lam in (1e-200, 1e-155):
-            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail,
-                         crude_width_formula):
+            for tail in (crude_tails, crude_width_formula):
                 with pytest.raises(DomainError, match="smallest rate"):
                     tail(lam, 0)
 
     def test_scan_from_the_limit(self):
         for lam in np.geomspace(self.LIMIT, 1e-100, 400):
-            for tail in (crude_mean_tail, crude_xmean_tail, crude_second_moment_tail):
-                t = tail(float(lam), 0)
+            for t in crude_tails(float(lam), 0):
                 assert math.isfinite(t.lo) and t.lo <= t.hi < math.inf
             assert all(math.isfinite(v) for v in constants_report(float(lam), 0, 2, "crude").endpoints)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
-from parklab.constants import crude_mean_tail, envelope_mean_tail
+from parklab.constants import crude_tails, envelope_tails
 from parklab.core import (
     _node_offsets,
     _panel_weight_table,
@@ -168,7 +168,7 @@ class TestCheckRate:
         lambda lam: SimConfig(lam, 5.0, 10),
         lambda lam: mean_closed(2.5, lam),
         lambda lam: mean_derivative_closed(2.5, lam),
-        lambda lam: crude_mean_tail(lam, 3),
+        lambda lam: crude_tails(lam, 3),
         lambda lam: constants_report(lam, 0, 64, "crude"),
     ]
 
@@ -187,9 +187,8 @@ class TestCheckRate:
         lambda lam: (SimConfig(lam, 5.0, 10).lam,),
         lambda lam: (mean_closed(2.5, lam),),
         lambda lam: (mean_derivative_closed(2.5, lam),),
-        lambda lam: (crude_mean_tail(lam, 3).lo, crude_mean_tail(lam, 3).hi),
-        lambda lam: (envelope_mean_tail(lam, 3, 2.0, 0.7, 0.8).lo,
-                     envelope_mean_tail(lam, 3, 2.0, 0.7, 0.8).hi),
+        lambda lam: tuple(v for t in crude_tails(lam, 3) for v in (t.lo, t.hi)),
+        lambda lam: tuple(v for t in envelope_tails(lam, 3, 2.0, 0.7, 0.8) for v in (t.lo, t.hi)),
         lambda lam: (constants_report(lam, 0, 64, "crude").lam,
                      *constants_report(lam, 0, 64, "crude").endpoints),
         lambda lam: (constants_report(lam, 3, 16, "crude").lam,
