@@ -79,10 +79,14 @@ def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
     power 0 feeds the density, power 1 the intercept.  lam = 0 degrades to a
     plain (weighted-by-x^power) integral, handy for cross-checks.
     """
-    if power not in (0, 1):
-        raise DomainError(f"power must be 0 or 1, got {power!r}")
+    _check_power(power)
     weight = lambda t: t**power * np.exp(-lam * t)
     return _solver.integrate_weighted(grid, weight, 0, grid.horizon_n)
+
+
+def _check_power(power: int) -> None:
+    if power not in (0, 1):
+        raise DomainError(f"power must be 0 or 1, got {power!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +178,11 @@ def envelope_tails(
     e_n = math.exp(-lam * n)
     p = lambda slope: e_n * (a + slope / lam)
     x = lambda slope: e_n * (a * (lam * n + 1.0) + slope * (lam * n + 2.0) / lam)
-    tails = TailBound(p(inf_slope), p(sup_slope), n), TailBound(x(inf_slope), x(sup_slope), n)
     floor_tail, xfloor_tail, _ = (t.hi for t in crude_tails(lam, n))
     lower = e_n * (a * a + 2.0 * a * inf_slope / lam + 2.0 * inf_slope**2 / lam**2)
     upper = a * floor_tail + sup_slope * (xfloor_tail / lam - n * floor_tail)
-    return (*tails, TailBound(lower, upper, n))
+    return (TailBound(p(inf_slope), p(sup_slope), n), TailBound(x(inf_slope), x(sup_slope), n),
+            TailBound(lower, upper, n))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +196,23 @@ def envelope_tails(
 # density_bracket(lam, p), intercept_bracket(lam, p, x) and
 # variance_slope_bracket(lam, p, b, p2) map those Brackets through these.
 # b is linear increasing in P and decreasing in X; d is linear increasing in
-# b and P2 and concave quadratic in P.
+# b and P2 and concave quadratic in P.  All four maps take the rates the tails
+# take; the intercept and slope maps also stop at _STEP_BOUND_MAX_RATE.
+
+# The largest rate, about 701.8, at which the intercept identity's
+# 2*(1+lam)*e^lam <= 4*lam*e^lam is finite before P ~ e^-lam scales it down.
+# It is the step-bound report's (n = 0) ceiling; solved reports stop lower,
+# at the solvers' own.
+_STEP_BOUND_MAX_RATE = _rate_limit(4.0)
+
+
+def _check_identity_rate(lam: float) -> float:
+    """A rate the tails take, at most _STEP_BOUND_MAX_RATE."""
+    lam = _check_rate(lam, solvable=True)
+    if lam > _STEP_BOUND_MAX_RATE:
+        raise DomainError(f"rate lam={lam:.17g} is above {_STEP_BOUND_MAX_RATE:.17g}, the largest the "
+                          f"step-bound identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
+    return lam
 
 
 def _density_from_p(lam: float, p: float) -> float:
@@ -214,6 +234,8 @@ def _slope_from(lam: float, p: float, b: float, p2: float) -> float:
 
 def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> Bracket:
     """Bracket on lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
+    lam = _check_rate(lam, solvable=True)
+    _check_power(power)
     if tail.n == 0:
         trunc = 0.0
     else:
@@ -228,6 +250,7 @@ def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, 
 
 def density_bracket(lam: float, p: Bracket) -> Bracket:
     """Enclosure of the limiting packing density mean(x)/x, from P, within [1/2, 1]."""
+    lam = _check_rate(lam, solvable=True)
     return _density_within_counts(_density_from_p(lam, p.lo), _density_from_p(lam, p.hi))
 
 
@@ -242,6 +265,7 @@ def intercept_bracket(lam: float, p: Bracket, x: Bracket) -> Bracket:
     The identity is increasing in P and decreasing in X, so the lower
     endpoint pairs P's lower bound with X's upper bound and vice versa.
     """
+    lam = _check_identity_rate(lam)
     return Bracket(_intercept_from(lam, p.lo, x.hi), _intercept_from(lam, p.hi, x.lo))
 
 
@@ -251,6 +275,7 @@ def variance_slope_bracket(lam: float, p: Bracket, b: Bracket, p2: Bracket) -> B
     Increasing in b and in P2; concave quadratic in P, so the maximizing
     candidate set carries the vertex alongside the interval endpoints.
     """
+    lam = _check_identity_rate(lam)
     lo = min(_slope_from(lam, q, b.lo, p2.lo) for q in (p.lo, p.hi))
     hi_candidates = [p.lo, p.hi]
     p_vertex = 0.5 * ((b.hi + 1.0) * (lam + 1.0) * math.exp(-lam) - 1.0)
@@ -322,10 +347,6 @@ def _mean_grids(params: Params) -> tuple[SegmentedGrid, SegmentedGrid]:
 # constants, so the brackets' widths grow by that factor.
 UNIFORM_RATE_CUTOFF = 1e-6
 
-# The step-bound report's (n = 0) largest rate, about 701.8: the intercept forms
-# 2*(1+lam)*e^lam <= 4*lam*e^lam before P ~ e^-lam scales it down.
-_STEP_BOUND_MAX_RATE = _rate_limit(4.0)
-
 # A halving pools from 2*_MIN_PANELS_PER_WORKER fine M2 panels.  Pooled/inline
 # medians (lam=1, 11-15 alternating reps, 2-CPU Xeon): 1.4x at (n, m) = (7, 512),
 # 17920 panels, which validate keeps inline; 0.85-1.33x at (10, 256), 20480;
@@ -368,10 +389,7 @@ def constants_report(
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
     resolution_m = _check_resolution(resolution_m)
-    lam = _check_rate(lam, solvable=True)
-    if horizon_n == 0 and lam > _STEP_BOUND_MAX_RATE:
-        raise DomainError(f"rate lam={lam:.17g} is above {_STEP_BOUND_MAX_RATE:.17g}, the largest the "
-                          f"step-bound identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
+    lam = _check_identity_rate(lam) if horizon_n == 0 else _check_rate(lam, solvable=True)
     params = (Params(lam, horizon_n, resolution_m)
               if horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF else None)
 

@@ -228,6 +228,10 @@ def _step_x(lam):
     return laplace_bracket(lam, None, crude_tails(lam, 0)[1], 1)
 
 
+def _step_p2(lam):
+    return laplace_bracket(lam, None, crude_tails(lam, 0)[2], 0)
+
+
 def _p_of(lam, c):
     # P for a given density: the density identity solved for P
     return c * (lam + 1.0) / lam - 1.0
@@ -257,6 +261,10 @@ class TestDensityBracket:
         for lam in (0.7, 1.0, 1.6):
             rep = constants_report(lam, 7, 64, "crude")
             assert rep.c.width == pytest.approx(crude_width_formula(lam, 7), abs=1e-12)
+
+    def test_power_checked_before_the_n_zero_shortcut(self):
+        with pytest.raises(DomainError, match="^power must be 0 or 1, got 7$"):
+            laplace_bracket(1.0, None, crude_tails(1.0, 0)[0], 7)
 
     def test_grid_required_for_positive_truncation(self):
         with pytest.raises(DomainError):
@@ -342,7 +350,7 @@ class TestVarianceSlopeBracket:
         b_w=st.floats(0.0, 0.05),
     )
     def test_widening_inputs_never_narrows_output(self, lam, c_mid, c_w, b_mid, b_w):
-        p2 = laplace_bracket(lam, None, crude_tails(lam, 0)[2], 0)
+        p2 = _step_p2(lam)
         p_mid = _p_of(lam, c_mid)
         narrow = variance_slope_bracket(lam, Bracket(p_mid, p_mid), Bracket(b_mid, b_mid), p2)
         wide = variance_slope_bracket(
@@ -477,6 +485,17 @@ class TestLargestStepBoundRate:
                                               r"the largest the step-bound identities"):
             constants_report(lam, 0, 16, "crude", with_halving_delta=with_halving_delta)
 
+    def test_intercept_and_slope_maps_stop_at_the_limit(self):
+        # both form e^lam terms of the n = 0 report's size, and 710 once overflowed
+        p, x, p2 = _step_p(1.0), _step_x(1.0), _step_p2(1.0)
+        b = intercept_bracket(1.0, p, x)
+        lam = math.nextafter(self.LIMIT, math.inf)
+        for evaluate in (lambda: intercept_bracket(lam, p, x),
+                         lambda: variance_slope_bracket(lam, p, b, p2)):
+            with pytest.raises(DomainError, match=rf"^rate lam={lam:.17g} is above {self.LIMIT:.17g}, "
+                                                  r"the largest the step-bound identities"):
+                evaluate()
+
 
 class TestSmallestRate:
     LIMIT = _MIN_RATE
@@ -501,11 +520,20 @@ class TestSmallestRate:
             constants_report(lam, n, 16, "crude" if n == 0 else "envelope")
 
     def test_tails_reject_rates_below_the_limit(self):
-        # 1e-200 once divided by zero, 1e-155 gave an infinite tail
+        # 1e-200 once divided by zero, 1e-155 gave an infinite tail; the bracket
+        # maps once returned brackets at both
+        p, x, p2 = _step_p(1.0), _step_x(1.0), _step_p2(1.0)
+        b = intercept_bracket(1.0, p, x)
         for lam in (1e-200, 1e-155):
-            for tail in (crude_tails, crude_width_formula):
+            for evaluate in (lambda lam: crude_tails(lam, 0),
+                             lambda lam: crude_width_formula(lam, 0),
+                             lambda lam: envelope_tails(lam, 1, 1.0, 0.5, 0.5),
+                             lambda lam: laplace_bracket(lam, None, crude_tails(1.0, 0)[0], 0),
+                             lambda lam: density_bracket(lam, p),
+                             lambda lam: intercept_bracket(lam, p, x),
+                             lambda lam: variance_slope_bracket(lam, p, b, p2)):
                 with pytest.raises(DomainError, match="smallest rate"):
-                    tail(lam, 0)
+                    evaluate(lam)
 
     def test_scan_from_the_limit(self):
         for lam in np.geomspace(self.LIMIT, 1e-100, 400):

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
-from parklab.constants import crude_tails, envelope_tails
+from parklab.constants import (
+    crude_tails,
+    density_bracket,
+    envelope_tails,
+    intercept_bracket,
+    laplace_bracket,
+    variance_slope_bracket,
+)
 from parklab.core import (
     _node_offsets,
     _panel_weight_table,
@@ -162,6 +169,20 @@ class TestParams:
             Params(*args)
 
 
+# P, X, P2 and b from the n = 0 tails at rate 1, for the bracket maps' entry points.
+_STEP_P, _STEP_X, _STEP_P2 = (laplace_bracket(1.0, None, t, k)
+                              for t, k in zip(crude_tails(1.0, 0), (0, 1, 0)))
+_STEP_B = intercept_bracket(1.0, _STEP_P, _STEP_X)
+
+
+def _step_bound_maps(lam):
+    """The bracket maps' endpoints at lam, from the n = 0 tails at the equal Python float."""
+    p, x, p2 = (laplace_bracket(lam, None, t, k) for t, k in zip(crude_tails(float(lam), 0), (0, 1, 0)))
+    b = intercept_bracket(lam, p, x)
+    brackets = (p, x, p2, density_bracket(lam, p), b, variance_slope_bracket(lam, p, b, p2))
+    return tuple(v for r in brackets for v in (r.lo, r.hi))
+
+
 class TestCheckRate:
     ENTRY_POINTS = [
         lambda lam: Params(lam),
@@ -170,6 +191,11 @@ class TestCheckRate:
         lambda lam: mean_derivative_closed(2.5, lam),
         lambda lam: crude_tails(lam, 3),
         lambda lam: constants_report(lam, 0, 64, "crude"),
+        lambda lam: envelope_tails(lam, 3, 2.0, 0.7, 0.8),
+        lambda lam: laplace_bracket(lam, None, crude_tails(1.0, 0)[0], 0),
+        lambda lam: density_bracket(lam, _STEP_P),
+        lambda lam: intercept_bracket(lam, _STEP_P, _STEP_X),
+        lambda lam: variance_slope_bracket(lam, _STEP_P, _STEP_B, _STEP_P2),
     ]
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -193,6 +219,7 @@ class TestCheckRate:
                      *constants_report(lam, 0, 64, "crude").endpoints),
         lambda lam: (constants_report(lam, 3, 16, "crude").lam,
                      *constants_report(lam, 3, 16, "crude").endpoints),
+        _step_bound_maps,
     ])
     def test_numpy_scalars_run_as_python_floats(self, entry):
         # a float32 rate is converted before any arithmetic, so it gives the
