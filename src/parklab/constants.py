@@ -11,13 +11,13 @@ over the solved horizon) plus a tail bounded two ways:
 * envelope tails integrate the linear envelopes value_at_n + slope*(x - n),
   with the slopes certified by the derivative window extrema.
 
-Brackets propagate through the closed-form identities by endpoint
-enumeration; every identity here is monotone in each bracketed input except
-for one concave quadratic, whose vertex is enumerated alongside the
-endpoints.  Exponentially large and small factors are combined symbolically
-first (the identities are evaluated in a form where every e^lam multiplies an
-O(e^-lam) integral), so rates up to several hundred neither overflow nor lose
-the leading digits to cancellation.
+Every integral is carried as e^lam times itself, which stays of order 1 at
+large rates since the mean is 0 below one car length.  The identities are the
+constants' large-rate limits plus terms that vanish with e^-lam: they overflow
+at no rate and cancel no O(1) terms at large ones.  Brackets propagate through
+them by endpoint enumeration; every identity here is monotone in each
+bracketed input except for one concave quadratic, whose vertex is enumerated
+alongside the endpoints.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .core import (
     _check_int,
     _check_rate,
     _check_resolution,
-    _rate_limit,
 )
 
 __all__ = [
@@ -64,7 +63,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TailBound(Bracket):
-    """Bracket [lo, hi] on a Laplace-integral tail from truncation point n."""
+    """Bracket [lo, hi] on e^lam times a Laplace-integral tail from truncation point n."""
 
     n: int
 
@@ -79,23 +78,22 @@ def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
     power 0 feeds the density, power 1 the intercept.  lam = 0 degrades to a
     plain (weighted-by-x^power) integral, handy for cross-checks.
     """
-    _check_power(power)
+    power = _check_power(power)
     weight = lambda t: t**power * np.exp(-lam * t)
     return _solver.integrate_weighted(grid, weight, 0, grid.horizon_n)
 
 
-def _check_power(power: int) -> None:
-    if power not in (0, 1):
-        raise DomainError(f"power must be 0 or 1, got {power!r}")
+def _check_power(power: int) -> int:
+    return _check_int("power", power, lambda p: p in (0, 1), "0 or 1")
 
 
 # ---------------------------------------------------------------------------
-# Tails of the triple (P, X, P2): the integrals over n..inf of lam*mean*e^(-lam*x),
-# lam^2*x*mean*e^(-lam*x) and lam*second_moment*e^(-lam*x), one TailBound each.
-# crude_tails sums the step bounds as geometric series from k = n.  Each closed
-# form there is the exact telescoped series (unit intervals for the floor side,
-# odd-index increments for the ceiling side) and is pinned against a
-# brute-force series oracle in the test suite.
+# Tails of the triple (P, X, P2): e^lam times the integrals over n..inf of
+# lam*mean*e^(-lam*x), lam^2*x*mean*e^(-lam*x) and lam*second_moment*e^(-lam*x),
+# one TailBound each.  crude_tails sums the step bounds as geometric series from
+# k = n.  Each closed form there is the exact telescoped series (unit intervals
+# for the floor side, odd-index increments for the ceiling side), pinned against
+# a brute-force series oracle in the tests; lam multiplies last, so as not to overflow.
 
 def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
     """The crude tail [lower, upper] with each end moved outward by one ulp, keeping them in order.
@@ -106,29 +104,31 @@ def _crude_bound(lower: float, upper: float, n: int) -> TailBound:
 
 
 def crude_tails(lam: float, n: int) -> tuple[TailBound, TailBound, TailBound]:
-    """Tails (P, X, P2) from truncation point n, between the counting bounds.
+    """Tails (P, X, P2) from truncation point n, times e^lam, between the counting bounds.
 
     The count lies between ceil((x-1)/2) and floor(x), and its square
-    between their squares.
+    between their squares.  Both bounds are 0 below x = 1, so the tails
+    from 0 are the tails from 1.
     """
     lam, n = _check_tail_args(lam, n)
+    k = max(n, 1)
     q = math.exp(-lam)
     qq = q * q
     one_q = -math.expm1(-lam)
     one_qq = -math.expm1(-2.0 * lam)
-    e_n = math.exp(-lam * n)
-    e_n1 = math.exp(-lam * (n + 1))
-    rise = (n + 1) - n * q
-    half = math.ceil(n / 2)
-    j0 = n + 1 if n % 2 == 0 else n + 2  # first odd index > n
-    e_j0 = math.exp(-lam * j0)
+    e_n = math.exp(-lam * (k - 1))
+    e_n1 = math.exp(-lam * k)
+    rise = (k + 1) - k * q
+    half = math.ceil(k / 2)
+    j0 = k + 1 if k % 2 == 0 else k + 2  # first odd index > k
+    e_j0 = math.exp(-lam * (j0 - 1))
     return (
-        _crude_bound(half * e_n + e_j0 / one_qq, e_n * (n - (n - 1) * q) / one_q, n),
-        _crude_bound(half * (lam * n + 1.0) * e_n
-                     + e_j0 * ((lam * j0 + 1.0) * one_qq + 2.0 * lam * qq) / one_qq**2,
-                     n * (lam * n + 1.0) * e_n + lam * e_n1 * rise / one_q**2 + e_n1 / one_q, n),
+        _crude_bound(half * e_n + e_j0 / one_qq, e_n * (k - (k - 1) * q) / one_q, n),
+        _crude_bound(half * (lam * (k * e_n) + e_n)
+                     + ((lam * (j0 * e_j0) + e_j0) * one_qq + lam * (2.0 * qq * e_j0)) / one_qq**2,
+                     k * (lam * (k * e_n) + e_n) + lam * (e_n1 * rise) / one_q**2 + e_n1 / one_q, n),
         _crude_bound(half**2 * e_n + e_j0 * (j0 * one_qq + 2.0 * qq) / one_qq**2,
-                     n * n * e_n + 2.0 * e_n1 * rise / one_q**2 - e_n1 / one_q, n),
+                     k * k * e_n + 2.0 * e_n1 * rise / one_q**2 - e_n1 / one_q, n),
     )
 
 
@@ -161,7 +161,7 @@ def envelope_tails(
     inf_slope: float,
     sup_slope: float,
 ) -> tuple[TailBound, TailBound, TailBound]:
-    """Tails (P, X, P2) from the mean's linear envelopes value_at_n + slope*(x - n).
+    """Tails (P, X, P2) from the mean's linear envelopes value_at_n + slope*(x - n), times e^lam.
 
     The mean beyond the horizon lies between the envelopes with slopes
     inf_slope and sup_slope; P and X integrate them in closed form
@@ -175,7 +175,11 @@ def envelope_tails(
     if not (0.0 <= inf_slope <= sup_slope):
         raise DomainError(f"need 0 <= inf_slope <= sup_slope, got {inf_slope!r}, {sup_slope!r}")
     a = value_at_n
-    e_n = math.exp(-lam * n)
+    try:
+        e_n = math.exp(-lam * (n - 1))
+    except OverflowError:  # only at n = 0, from lam ~ 709.78 on
+        raise DomainError(f"envelope tails from n=0 scale by e^lam, which has no double at "
+                          f"lam={lam!r}") from None
     p = lambda slope: e_n * (a + slope / lam)
     x = lambda slope: e_n * (a * (lam * n + 1.0) + slope * (lam * n + 2.0) / lam)
     floor_tail, xfloor_tail, _ = (t.hi for t in crude_tails(lam, n))
@@ -186,56 +190,46 @@ def envelope_tails(
 
 
 # ---------------------------------------------------------------------------
-# Bracket assembly.  laplace_bracket encloses P, X and P2, the integrals over
-# 0..inf of lam*mean*e^(-lam*x), lam^2*x*mean*e^(-lam*x) and
-# lam*second_moment*e^(-lam*x); each report encloses each of them once.  Then:
-#   density   c = lam*(1 + P)/(lam + 1)
-#   intercept b = ((1+P)*(2-lam^2) + 2*e^lam*(1+lam)*P - 2*(lam+1)
-#                  - 2*(lam+1)*X) / (2*(lam+1)^2)
-#   slope     d = 2*b*c + 2*c - 2*e^lam*P*c/(lam+1) + (lam*P2 - lam)/(lam+1)
+# Bracket assembly.  laplace_bracket encloses Ps, Xs and P2s: e^lam times the
+# integrals over 0..inf of lam*mean*e^(-lam*x), lam^2*x*mean*e^(-lam*x) and
+# lam*second_moment*e^(-lam*x); each report encloses each of them once.  With
+# q = e^-lam and the large-rate limits c_inf, b_inf and d_inf of
+# _large_rate_limits, the constants are
+#   density   c = c_inf*(1 + q*Ps)
+#   intercept b = b_inf*(1 + q*Ps) + (Ps - 1 - q*Xs)/(lam + 1)
+#   slope     d = d_inf + 2*(b - b_inf)*c + c_inf*q*Ps*(1 + (lam+1)^-2)
+#                 - 2*(Ps - 1)*c/(lam + 1) + c_inf*q*P2s
 # density_bracket(lam, p), intercept_bracket(lam, p, x) and
 # variance_slope_bracket(lam, p, b, p2) map those Brackets through these.
-# b is linear increasing in P and decreasing in X; d is linear increasing in
-# b and P2 and concave quadratic in P.  All four maps take the rates the tails
-# take; the intercept and slope maps also stop at _STEP_BOUND_MAX_RATE.
+# b is linear increasing in Ps and decreasing in Xs; d is linear increasing in
+# b and P2s and concave quadratic in Ps.
 
-# The largest rate, about 701.8, at which the intercept identity's
-# 2*(1+lam)*e^lam <= 4*lam*e^lam is finite before P ~ e^-lam scales it down.
-# It is the step-bound report's (n = 0) ceiling; solved reports stop lower,
-# at the solvers' own.
-_STEP_BOUND_MAX_RATE = _rate_limit(4.0)
-
-
-def _check_identity_rate(lam: float) -> float:
-    """A rate the tails take, at most _STEP_BOUND_MAX_RATE."""
-    lam = _check_rate(lam, solvable=True)
-    if lam > _STEP_BOUND_MAX_RATE:
-        raise DomainError(f"rate lam={lam:.17g} is above {_STEP_BOUND_MAX_RATE:.17g}, the largest the "
-                          f"step-bound identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
-    return lam
+def _large_rate_limits(lam: float) -> tuple[float, float, float]:
+    """(c_inf, b_inf, d_inf) = (lam/(lam+1), (2 - lam^2)/(2(lam+1)^2), lam/(lam+1)^3), overflow-free."""
+    c, r = lam / (lam + 1.0), (lam + 1.0) ** -2
+    return c, r - 0.5 * c * c, c * r
 
 
 def _density_from_p(lam: float, p: float) -> float:
-    return lam / (lam + 1.0) * (1.0 + p)
+    return _large_rate_limits(lam)[0] * (1.0 + math.exp(-lam) * p)
 
 
 def _intercept_from(lam: float, p: float, x: float) -> float:
-    elam = math.exp(lam)
-    num = ((1.0 + p) * (2.0 - lam * lam) + 2.0 * elam * (1.0 + lam) * p
-           - 2.0 * (lam + 1.0) - 2.0 * (lam + 1.0) * x)
-    return num / (2.0 * (lam + 1.0) ** 2)
+    q = math.exp(-lam)
+    return _large_rate_limits(lam)[1] * (1.0 + q * p) + (p - 1.0 - q * x) / (lam + 1.0)
 
 
 def _slope_from(lam: float, p: float, b: float, p2: float) -> float:
-    c = _density_from_p(lam, p)
-    return (2.0 * b * c + 2.0 * c - 2.0 * math.exp(lam) * p * c / (lam + 1.0)
-            + (lam * p2 - lam) / (lam + 1.0))
+    c_inf, b_inf, d_inf = _large_rate_limits(lam)
+    q, c = math.exp(-lam), _density_from_p(lam, p)
+    return (d_inf + 2.0 * (b - b_inf) * c + c_inf * q * p * (1.0 + (lam + 1.0) ** -2)
+            - 2.0 * (p - 1.0) * c / (lam + 1.0) + c_inf * q * p2)
 
 
 def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, power: int) -> Bracket:
-    """Bracket on lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
+    """Bracket on e^lam * lam^(1+power) * integral(x^power * grid * e^(-lam*x), 0..inf)."""
     lam = _check_rate(lam, solvable=True)
-    _check_power(power)
+    power = _check_power(power)
     if tail.n == 0:
         trunc = 0.0
     else:
@@ -244,12 +238,14 @@ def laplace_bracket(lam: float, grid: Optional[SegmentedGrid], tail: TailBound, 
         if grid.horizon_n != tail.n:
             raise DomainError(
                 f"grid horizon {grid.horizon_n} differs from truncation point {tail.n}")
-        trunc = truncated_laplace(grid, lam, power) * lam ** (1 + power)
+        if grid.lam != lam:  # a solved grid's rate is below the solvers' ceiling, so e^lam is a double
+            raise DomainError(f"grid rate {grid.lam!r} differs from rate lam={lam!r}")
+        trunc = truncated_laplace(grid, lam, power) * lam ** (1 + power) * math.exp(lam)
     return Bracket(trunc + tail.lo, trunc + tail.hi)
 
 
 def density_bracket(lam: float, p: Bracket) -> Bracket:
-    """Enclosure of the limiting packing density mean(x)/x, from P, within [1/2, 1]."""
+    """Enclosure of the limiting packing density mean(x)/x, from Ps, within [1/2, 1]."""
     lam = _check_rate(lam, solvable=True)
     return _density_within_counts(_density_from_p(lam, p.lo), _density_from_p(lam, p.hi))
 
@@ -260,28 +256,29 @@ def _density_within_counts(lo: float, hi: float) -> Bracket:
 
 
 def intercept_bracket(lam: float, p: Bracket, x: Bracket) -> Bracket:
-    """Enclosure of the additive constant in mean(x) ~ c*x + b, from P and X.
+    """Enclosure of the additive constant in mean(x) ~ c*x + b, from Ps and Xs.
 
-    The identity is increasing in P and decreasing in X, so the lower
-    endpoint pairs P's lower bound with X's upper bound and vice versa.
+    The identity is increasing in Ps and decreasing in Xs, so the lower
+    endpoint pairs Ps's lower bound with Xs's upper bound and vice versa.
     """
-    lam = _check_identity_rate(lam)
+    lam = _check_rate(lam, solvable=True)
     return Bracket(_intercept_from(lam, p.lo, x.hi), _intercept_from(lam, p.hi, x.lo))
 
 
 def variance_slope_bracket(lam: float, p: Bracket, b: Bracket, p2: Bracket) -> Bracket:
-    """Enclosure of the linear growth rate of the count's variance.
+    """Enclosure of the linear growth rate of the count's variance, from Ps, b and P2s.
 
-    Increasing in b and in P2; concave quadratic in P, so the maximizing
-    candidate set carries the vertex alongside the interval endpoints.
+    Increasing in b and in P2s; concave quadratic in Ps, so the maximizing
+    candidate set carries the vertex alongside the interval endpoints when
+    the slope in Ps changes sign between them.
     """
-    lam = _check_identity_rate(lam)
-    lo = min(_slope_from(lam, q, b.lo, p2.lo) for q in (p.lo, p.hi))
+    lam = _check_rate(lam, solvable=True)
+    lo = min(_slope_from(lam, ps, b.lo, p2.lo) for ps in (p.lo, p.hi))
     hi_candidates = [p.lo, p.hi]
-    p_vertex = 0.5 * ((b.hi + 1.0) * (lam + 1.0) * math.exp(-lam) - 1.0)
-    if p.lo < p_vertex < p.hi:
-        hi_candidates.append(p_vertex)
-    hi = max(_slope_from(lam, q, b.hi, p2.hi) for q in hi_candidates)
+    rising = lambda ps: math.exp(-lam) * ((b.hi + 1.0) * (lam + 1.0) - 2.0 * ps) > 1.0
+    if rising(p.lo) and not rising(p.hi):  # then e^lam < (b.hi + 1)*(lam + 1) is a double
+        hi_candidates.append(0.5 * ((b.hi + 1.0) * (lam + 1.0) - math.exp(lam)))
+    hi = max(_slope_from(lam, ps, b.hi, p2.hi) for ps in hi_candidates)
     return Bracket(lo, hi)
 
 
@@ -365,7 +362,7 @@ def constants_report(
     """Solve the grids and assemble brackets for all three constants.
 
     horizon_n = 0 skips solving entirely and uses pure step-bound tails (only
-    the crude method exists there), at rates up to _STEP_BOUND_MAX_RATE.
+    the crude method exists there), at every rate the tails take.
     Horizons 1 and 2 are rejected: the seeds already cover [0, 3], so nothing
     shorter is ever solved.
     Below UNIFORM_RATE_CUTOFF it is the uniform fallback, labelled "envelope"
@@ -389,7 +386,7 @@ def constants_report(
     if horizon_n == 0 and tail_method == "envelope":
         raise DomainError("envelope tails need a solved derivative grid; use horizon_n >= 3")
     resolution_m = _check_resolution(resolution_m)
-    lam = _check_identity_rate(lam) if horizon_n == 0 else _check_rate(lam, solvable=True)
+    lam = _check_rate(lam, solvable=True)
     params = (Params(lam, horizon_n, resolution_m)
               if horizon_n > 0 and lam >= UNIFORM_RATE_CUTOFF else None)
 

@@ -87,13 +87,16 @@ def _check_kind(name: str, value: object, integer: bool = False, need: str = "")
 
 def _check_rate(lam: float, solvable: bool = False) -> float:
     """``lam`` as a Python float if it is a finite positive real, and if
-    ``solvable`` (Params and the tails) at least _MIN_RATE."""
+    ``solvable`` (Params and the tails) from _MIN_RATE to below the largest double."""
     rate = float(_check_kind("rate lam", lam, need="finite and > 0"))
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
     if solvable and rate < _MIN_RATE:
         raise DomainError(f"rate lam={rate!r} is below {_MIN_RATE!r}, the smallest rate at "
                           f"which the step-bound tails can be evaluated in doubles")
+    if solvable and rate == np.finfo(float).max:
+        raise DomainError(f"rate lam={rate!r} is the largest double, so the step-bound tails "
+                          f"cannot round e^lam*X ~ lam + 1 outward")
     return rate
 
 

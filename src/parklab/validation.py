@@ -119,9 +119,8 @@ def _check_5(quick: bool) -> list[CheckResult]:
         rep = _constants.constants_report(lam, 7, 256, "crude")
         e1 = math.exp(-lam)
         e2 = math.exp(-2 * lam)
-        c_ref = lam * (1 + e1) / (lam + 1)
-        b_ref = -0.5 + 1 / (lam + 1) + 1 / (2 * (lam + 1) ** 2)
-        d_ref = lam / (lam + 1) ** 3
+        c_inf, b_ref, d_ref = _constants._large_rate_limits(lam)
+        c_ref = c_inf * (1 + e1)
         ok = (rep.c.contains(c_ref, slack=10 * e2)
               and rep.b.contains(b_ref, slack=10 * e1)
               and rep.d.contains(d_ref, slack=10 * e1)

@@ -42,8 +42,6 @@ _RATE = "error: rate lam must be finite and > 0, got "
 _EVEN_M = "error: resolution_m must be an even integer >= 2, got "
 _CEILING = ("error: rate lam=710 is above {}, the largest the solvers can step to n={}: "
             "the kernel factor lam*e^lam would overflow")
-_N0_CEILING = ("error: rate lam={} is above 701.84270921429197, the largest the step-bound "
-               "identities can evaluate at n=0: 2*(1+lam)*e^lam would overflow")
 _REJECTED = {
     "table-rate-zero": ("table --lambda 0 --kind M", _RATE + "0.0"),
     "table-rate-nan": ("table --lambda nan --kind M", _RATE + "nan"),
@@ -67,11 +65,6 @@ _REJECTED = {
     "constants-m-odd": ("constants --lambda 1 --m 5", _EVEN_M + "5"),
     "constants-above-ceiling": ("constants --lambda 710 --n 12 --m 256",
                                 _CEILING.format("695.01087556205334", 12)),
-    # these once ended in [inf, inf], [nan, 5e-324] or an OverflowError traceback
-    **{f"constants-n0-above-ceiling-{lam}": (f"constants --lambda {lam} --n 0 --tail crude",
-                                             _N0_CEILING.format(shown))
-       for lam, shown in [("709", "709"), ("709.8", "709.79999999999995"), ("800", "800"),
-                          ("1e5", "100000"), ("1e308", "1e+308")]},
     # at m=2 the halved grid would be the requested one, and the delta a vacuous 0.0
     "constants-halving-m-two": ("constants --lambda 1 --m 2",
                                 "error: the halving delta halves resolution_m, so it needs "
@@ -236,13 +229,26 @@ class TestConstants:
         assert payload["c_lo"] <= payload["c_hi"] and payload["b_lo"] <= payload["b_hi"]
 
     def test_step_bounds_below_the_n0_ceiling_unchanged(self, capsys):
+        # d contains 700/701^3 = 2.03209490106138e-06
         code, out, err = run_cli(capsys, "constants", "--lambda", "700", "--n", "0", "--tail", "crude")
         assert (code, err) == (0, "")
         assert out == (
             '{"lambda": 700.0, "n": 0, "m": 256, "tail_method": "crude", "c_lo": 0.9985734664764622, '
             '"c_hi": 0.9985734664764622, "b_lo": -0.4985724489775153, "b_hi": -0.4985724489775153, '
-            '"d_lo": 2.032094901238679e-06, "d_hi": 2.032094901238679e-06, "envelope_inf": null, '
+            '"d_lo": 2.0320949010607454e-06, "d_hi": 2.0320949010616945e-06, "envelope_inf": null, '
             '"envelope_sup": null, "quadrature_halving_delta": 0.0, "uniform_fallback": false}\n')
+
+    @pytest.mark.parametrize("lam", ["702", "709", "709.8", "800", "1e5", "1e6", "1e300", "1e308"])
+    def test_step_bounds_above_the_old_n0_ceiling(self, capsys, large_rate_limits, lam):
+        # these once exited 2 at a ceiling of 701.8, and earlier ended in [inf, inf],
+        # [nan, 5e-324] or an OverflowError traceback
+        code, out, err = run_cli(capsys, "constants", "--lambda", lam, "--n", "0", "--tail", "crude")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        c_inf, b_inf, d_inf = large_rate_limits(lam)
+        assert payload["d_lo"] <= d_inf <= payload["d_hi"]
+        for key, limit in (("c_lo", c_inf), ("c_hi", c_inf), ("b_lo", b_inf), ("b_hi", b_inf)):
+            assert abs(payload[key] - limit) <= 4 * math.ulp(limit)
 
     def test_envelope_fields_present(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--lambda", "1", "--n", "5", "--m", "64")

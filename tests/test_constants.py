@@ -5,10 +5,12 @@ import math
 import multiprocessing
 import multiprocessing.pool
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,18 +29,19 @@ from parklab.constants import (
     truncated_laplace,
     variance_slope_bracket,
 )
-from parklab.core import _MIN_RATE, SegmentedGrid, _max_rate
+from parklab.core import _MIN_RATE, SegmentedGrid
 
 
 # ---------------------------------------------------------------------------
-# Series oracles: sum the step-bound integrals term by term until they
-# vanish.  On (k, k+1) the bounds are floor = k and ceil((x-1)/2) = ceil(k/2).
+# Series oracles: sum the step-bound integrals, times e^lam like the tails,
+# term by term until they vanish.  On (k, k+1) the bounds are floor = k and
+# ceil((x-1)/2) = ceil(k/2).
 
 def _unit_mass(lam, k, xpow):
     if xpow == 0:
-        return math.exp(-lam * k) - math.exp(-lam * (k + 1))
-    return ((lam * k + 1) * math.exp(-lam * k)
-            - (lam * (k + 1) + 1) * math.exp(-lam * (k + 1)))
+        return math.exp(-lam * (k - 1)) - math.exp(-lam * k)
+    return ((lam * k + 1) * math.exp(-lam * (k - 1))
+            - (lam * (k + 1) + 1) * math.exp(-lam * k))
 
 
 def _series_tail(lam, n, step, xpow=0, terms=800):
@@ -78,12 +81,17 @@ class TestCrudeTails:
         lam = 1.3
         q = math.exp(-lam)
         t = crude_tails(lam, 0)[0]
-        assert t.hi == pytest.approx(q / (1 - q), rel=1e-14)
-        assert t.lo == pytest.approx(q / (1 - q * q), rel=1e-14)
+        assert t.hi == pytest.approx(math.exp(lam) * q / (1 - q), rel=1e-14)
+        assert t.lo == pytest.approx(math.exp(lam) * q / (1 - q * q), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [_MIN_RATE, 1e-3, 1.0, 30.0, 700.0, 1e6, 1e300])
+    def test_tails_from_zero_are_the_tails_from_one(self, lam):
+        # both counting bounds are 0 below x = 1
+        assert [replace(t, n=1) for t in crude_tails(lam, 0)] == list(crude_tails(lam, 1))
 
     def test_gap_decays_geometrically_in_rate(self):
-        # at truncation 7 the gap scales like e^(-7 lam) per unit of rate
-        gaps = [crude_tails(lam, 7)[0].width for lam in (2.0, 3.0, 4.0)]
+        # at truncation 7 the gap of the unscaled tails scales like e^(-7 lam) per unit of rate
+        gaps = [crude_tails(lam, 7)[0].width * math.exp(-lam) for lam in (2.0, 3.0, 4.0)]
         for g0, g1 in zip(gaps, gaps[1:]):
             assert g1 / g0 < math.exp(-6.0)
             assert g1 / g0 > math.exp(-8.0)
@@ -149,15 +157,16 @@ class TestEnvelopeTails:
     def test_mean_tail_against_quadrature(self, lam, n, a, ci, cs):
         t0, t1, _ = envelope_tails(lam, n, a, ci, cs)
         for c, got0, got1 in [(ci, t0.lo, t1.lo), (cs, t0.hi, t1.hi)]:
-            ref0, _ = quad(lambda x: lam * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
-            ref1, _ = quad(lambda x: lam**2 * x * (a + c * (x - n)) * math.exp(-lam * x), n, np.inf)
+            ref0, _ = quad(lambda x: lam * (a + c * (x - n)) * math.exp(-lam * (x - 1)), n, np.inf)
+            ref1, _ = quad(lambda x: lam**2 * x * (a + c * (x - n)) * math.exp(-lam * (x - 1)),
+                           n, np.inf)
             assert got0 == pytest.approx(ref0, rel=1e-9)
             assert got1 == pytest.approx(ref1, rel=1e-9)
 
     @pytest.mark.parametrize("lam,n,a,ci,cs", CASES)
     def test_second_moment_tail_against_quadrature(self, lam, n, a, ci, cs):
         t = envelope_tails(lam, n, a, ci, cs)[2]
-        ref_lo, _ = quad(lambda x: lam * (a + ci * (x - n)) ** 2 * math.exp(-lam * x), n, np.inf)
+        ref_lo, _ = quad(lambda x: lam * (a + ci * (x - n)) ** 2 * math.exp(-lam * (x - 1)), n, np.inf)
         assert t.lo == pytest.approx(ref_lo, rel=1e-9)
         ref_hi = _series_tail(lam, n, lambda k: k * a) \
             + cs * (_series_tail(lam, n, lambda k: k, 1) / lam
@@ -166,17 +175,24 @@ class TestEnvelopeTails:
 
     def test_flat_envelope(self):
         t = envelope_tails(1.0, 7, 5.0, 0.0, 0.0)[0]
-        assert t.lo == t.hi == pytest.approx(5.0 * math.exp(-7.0), rel=1e-14)
+        assert t.lo == t.hi == pytest.approx(5.0 * math.exp(-6.0), rel=1e-14)
 
     def test_power_one_unit_case(self):
-        # the constant envelope 1 from n = 1 at unit rate: X's tail is (lam*n + 1)*e^(-lam*n) = 2/e
+        # the constant envelope 1 from n = 1 at unit rate: X's tail is (lam*n + 1)*e^(-lam*n) = 2/e,
+        # and e times that is 2
         t = envelope_tails(1.0, 1, 1.0, 0.0, 0.0)[1]
-        assert t.lo == t.hi == pytest.approx(2.0 / math.e, rel=1e-14)
+        assert t.lo == t.hi == pytest.approx(2.0, rel=1e-14)
 
     def test_envelope_above_the_floor_bound_is_rejected(self):
         # the mean is 0 on [0, 1), so value 1 from n = 0 puts P2's lower end above its floor(x) end
         with pytest.raises(DomainError, match="out of order"):
             envelope_tails(1.0, 0, 1.0, 0.0, 0.0)
+
+    def test_envelopes_from_zero_need_e_to_the_rate_as_a_double(self):
+        assert envelope_tails(709.0, 0, 0.0, 0.0, 0.0)[0] == TailBound(0.0, 0.0, 0)
+        with pytest.raises(DomainError, match="^envelope tails from n=0 scale by e\\^lam, which has "
+                                              "no double at lam=710.0$"):
+            envelope_tails(710.0, 0, 0.0, 0.0, 0.0)
 
     def test_slope_order_enforced(self):
         with pytest.raises(DomainError):
@@ -212,15 +228,15 @@ class TestTruncatedLaplace:
 # Bracket assembly.
 
 def _direct_intercept(lam, c, x_weighted):
-    # unfactored form of the intercept identity, for cross-checking the
-    # cancellation-safe grouping used in the implementation
+    # unfactored form of the intercept identity on the unscaled X, for
+    # cross-checking the large-rate grouping used in the implementation
     elam = math.exp(lam)
     k = (2 + 2 * elam + 2 * lam * elam - lam**2) / (2 * lam * (lam + 1))
     return c * k - (elam + 1) / (lam + 1) - x_weighted / (lam + 1)
 
 
 def _step_p(lam):
-    # enclosure of P from the pure step-bound tail, nothing solved
+    # enclosure of e^lam*P from the pure step-bound tail, nothing solved
     return laplace_bracket(lam, None, crude_tails(lam, 0)[0], 0)
 
 
@@ -233,11 +249,12 @@ def _step_p2(lam):
 
 
 def _p_of(lam, c):
-    # P for a given density: the density identity solved for P
-    return c * (lam + 1.0) / lam - 1.0
+    # e^lam*P for a given density: the density identity solved for P
+    return math.exp(lam) * (c * (lam + 1.0) / lam - 1.0)
 
 
 def _direct_slope(lam, c, b, p2):
+    # the unfactored slope identity on the unscaled P2
     elam = math.exp(lam)
     b1 = (4 * b * c - (2 * elam / lam) * c**2
           + (2 * (1 + lam + elam) / (lam + 1)) * c + (lam * p2 - lam) / (lam + 1))
@@ -265,6 +282,13 @@ class TestDensityBracket:
     def test_power_checked_before_the_n_zero_shortcut(self):
         with pytest.raises(DomainError, match="^power must be 0 or 1, got 7$"):
             laplace_bracket(1.0, None, crude_tails(1.0, 0)[0], 7)
+        grid = SegmentedGrid("M", np.ones((3, 65)), lam=1.0)
+        for power in (True, 1.0):  # both once read as 1
+            message = f"^power must be an integer, got {type(power).__name__} {power!r}$"
+            with pytest.raises(DomainError, match=message):
+                laplace_bracket(1.0, None, crude_tails(1.0, 0)[0], power)
+            with pytest.raises(DomainError, match=message):
+                truncated_laplace(grid, 1.0, power)
 
     def test_grid_required_for_positive_truncation(self):
         with pytest.raises(DomainError):
@@ -280,11 +304,18 @@ class TestDensityBracket:
         p = laplace_bracket(1.0, grid, crude_tails(1.0, 7)[0], 0)
         assert density_bracket(1.0, p) == constants_report(1.0, 7, 64, "crude").c
 
+    def test_grid_must_be_solved_at_the_rate(self):
+        # another rate's grid once gave a bracket, and from 709.78 on e^lam overflowed
+        grid = solver.solve_mean(Params(1.0, 7, 64))
+        for lam in (2.0, 800.0):
+            with pytest.raises(DomainError, match=f"^grid rate 1.0 differs from rate lam={lam!r}$"):
+                laplace_bracket(lam, grid, crude_tails(lam, 7)[0], 0)
+
     def test_kept_within_the_counting_bounds(self):
-        # ceil((x-1)/2) <= count <= floor(x), so c lies in [1/2, 1]
-        assert density_bracket(1.0, Bracket(-5.0, 5.0)) == Bracket(0.5, 1.0)
+        # ceil((x-1)/2) <= count <= floor(x), so c lies in [1/2, 1]; the maps take e^lam*P
+        assert density_bracket(1.0, Bracket(-5.0 * math.e, 5.0 * math.e)) == Bracket(0.5, 1.0)
         with pytest.raises(DomainError, match="out of order"):
-            density_bracket(1.0, Bracket(2.0, 3.0))  # c in [1.5, 2]: no density fits
+            density_bracket(1.0, Bracket(2.0 * math.e, 3.0 * math.e))  # c in [1.5, 2]: no density fits
 
     def test_uniform_fallback_clamps_c_before_forming_b(self):
         # the uniform derivative's window extrema at n=3, m=4 are [0.5, 2.0]
@@ -299,8 +330,8 @@ class TestInterceptBracket:
         # oracle: unfactored identity fed with series-summed tails
         c = density_bracket(lam, _step_p(lam))
         b = intercept_bracket(lam, _step_p(lam), _step_x(lam))
-        x_lo = _series_tail(lam, 0, lambda k: math.ceil(k / 2), 1)
-        x_hi = _series_tail(lam, 0, lambda k: k, 1)
+        x_lo = math.exp(-lam) * _series_tail(lam, 0, lambda k: math.ceil(k / 2), 1)
+        x_hi = math.exp(-lam) * _series_tail(lam, 0, lambda k: k, 1)
         assert b.lo == pytest.approx(_direct_intercept(lam, c.lo, x_hi), rel=1e-9, abs=1e-11)
         assert b.hi == pytest.approx(_direct_intercept(lam, c.hi, x_lo), rel=1e-9, abs=1e-11)
 
@@ -331,8 +362,8 @@ class TestVarianceSlopeBracket:
         b = Bracket(b_pt, b_pt)
         tail = crude_tails(lam, 0)[2]
         d = variance_slope_bracket(lam, p, b, laplace_bracket(lam, None, tail, 0))
-        lo_ref = _direct_slope(lam, c_pt, b_pt, tail.lo)
-        hi_ref = _direct_slope(lam, c_pt, b_pt, tail.hi)
+        lo_ref = _direct_slope(lam, c_pt, b_pt, math.exp(-lam) * tail.lo)
+        hi_ref = _direct_slope(lam, c_pt, b_pt, math.exp(-lam) * tail.hi)
         assert d.lo == pytest.approx(lo_ref, rel=1e-10, abs=1e-12)
         assert d.hi == pytest.approx(hi_ref, rel=1e-10, abs=1e-12)
 
@@ -465,36 +496,62 @@ class TestReports:
         assert (type(rep.horizon_n), type(rep.resolution_m)) == (int, int)
 
 
-class TestLargestStepBoundRate:
-    LIMIT = constants._STEP_BOUND_MAX_RATE
+class TestLargeRates:
+    # the n = 0 report's former ceiling, where its intercept identity formed 2*(1+lam)*e^lam
+    OLD_LIMIT = 701.84270921429197
 
-    def test_limit_keeps_the_intercept_factor_finite(self):
-        # the intercept forms 2*e^lam*(1 + lam) before P scales it down
-        assert 701.8 < self.LIMIT < 701.9
-        assert math.isfinite(2.0 * math.exp(self.LIMIT) * (1.0 + self.LIMIT))
-        assert _max_rate(3) < self.LIMIT  # solved reports stop lower
-
-    def test_report_at_the_limit(self):
-        rep = constants_report(self.LIMIT, 0, 16, "crude")
+    @pytest.mark.parametrize("lam", [40.0, 100.0, 700.0, 702.0, 1e3, 1e4, 1e6, 1e100, 1e300])
+    def test_step_bound_report_meets_the_limits(self, large_rate_limits, lam):
+        rep = constants_report(lam, 0, 16, "crude")
         assert all(math.isfinite(v) for v in rep.endpoints)
+        c_inf, b_inf, d_inf = large_rate_limits(lam)
+        assert rep.d.contains(d_inf)
+        for bracket, limit in ((rep.c, c_inf), (rep.b, b_inf)):
+            assert abs(bracket.lo - limit) <= 4 * math.ulp(limit)
+            assert abs(bracket.hi - limit) <= 4 * math.ulp(limit)
 
     @pytest.mark.parametrize("with_halving_delta", [False, True])
-    def test_report_just_above_the_limit_is_rejected(self, with_halving_delta):
-        lam = math.nextafter(self.LIMIT, math.inf)
-        with pytest.raises(DomainError, match=rf"^rate lam={lam:.17g} is above {self.LIMIT:.17g}, "
-                                              r"the largest the step-bound identities"):
-            constants_report(lam, 0, 16, "crude", with_halving_delta=with_halving_delta)
+    def test_report_just_above_the_old_limit(self, large_rate_limits, with_halving_delta):
+        lam = math.nextafter(self.OLD_LIMIT, math.inf)
+        rep = constants_report(lam, 0, 16, "crude", with_halving_delta=with_halving_delta)
+        assert all(math.isfinite(v) for v in rep.endpoints)
+        assert rep.d.contains(large_rate_limits(lam)[2])
 
-    def test_intercept_and_slope_maps_stop_at_the_limit(self):
-        # both form e^lam terms of the n = 0 report's size, and 710 once overflowed
-        p, x, p2 = _step_p(1.0), _step_x(1.0), _step_p2(1.0)
-        b = intercept_bracket(1.0, p, x)
-        lam = math.nextafter(self.LIMIT, math.inf)
-        for evaluate in (lambda: intercept_bracket(lam, p, x),
-                         lambda: variance_slope_bracket(lam, p, b, p2)):
-            with pytest.raises(DomainError, match=rf"^rate lam={lam:.17g} is above {self.LIMIT:.17g}, "
-                                                  r"the largest the step-bound identities"):
+    def test_intercept_and_slope_maps_above_the_old_limit(self):
+        # both once formed e^lam terms and overflowed at 710
+        for lam in (710.0, 1e6):
+            p, x, p2 = _step_p(lam), _step_x(lam), _step_p2(lam)
+            b = intercept_bracket(lam, p, x)
+            d = variance_slope_bracket(lam, p, b, p2)
+            assert all(math.isfinite(v) for v in (b.lo, b.hi, d.lo, d.hi))
+
+    def test_the_largest_double_is_rejected(self):
+        # e^lam*X ~ lam + 1 rounds out past it
+        lam = sys.float_info.max
+        for evaluate in (lambda: crude_tails(lam, 0), lambda: constants_report(lam, 0, 16, "crude"),
+                         lambda: intercept_bracket(lam, _step_p(1.0), _step_x(1.0))):
+            with pytest.raises(DomainError, match=f"^rate lam={re.escape(repr(lam))} is the largest double"):
                 evaluate()
+        assert math.isfinite(crude_tails(math.nextafter(lam, 0.0), 0)[1].hi)
+
+    def test_identities_match_the_e_to_the_rate_forms(self):
+        # the forms the maps replaced, which multiply P by e^lam, in 40 digits
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        with mpmath.workdps(40):
+            for lam in 10.0 ** rng.uniform(-3.0, math.log10(700.0), 200):
+                ps, xs, p2s = (rng.uniform(t.lo, t.hi) for t in crude_tails(lam, 0))
+                b = constants._intercept_from(lam, ps, xs)
+                d = constants._slope_from(lam, ps, b, p2s)
+                L, q = mpmath.mpf(lam), mpmath.exp(-mpmath.mpf(lam))
+                p, x, p2 = q * ps, q * xs, q * p2s
+                b_ref = (((1 + p) * (2 - L**2) + 2 * mpmath.exp(L) * (1 + L) * p - 2 * (L + 1)
+                          - 2 * (L + 1) * x) / (2 * (L + 1) ** 2))
+                c = L * (1 + p) / (L + 1)
+                d_ref = 2 * b * c + 2 * c - 2 * mpmath.exp(L) * p * c / (L + 1) + (L * p2 - L) / (L + 1)
+                for got, ref in ((b, b_ref), (d, d_ref)):
+                    worst = max(worst, float(abs(got - ref) / max(1, abs(ref))))
+        assert worst <= 1e-12
 
 
 class TestSmallestRate:
