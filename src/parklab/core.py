@@ -53,21 +53,24 @@ _STENCIL_GAIN = 26.0
 
 
 def _max_rate(horizon_n: int) -> float:
-    """Largest rate whose weighted samples the solvers can represent.
+    """Largest solvable rate: _STENCIL_GAIN*n^2*lam*e^lam = max float, by Newton on the log.
 
     A kernel factor reaches lam*e^lam (see solver._march), the samples it
     weights are at most n^2 (the second moment of a count of at most n), and
     the cubic stencil multiplies their product by up to _STENCIL_GAIN.
     """
-    return _rate_limit(_STENCIL_GAIN * horizon_n**2)
-
-
-def _rate_limit(gain: float) -> float:
-    """The lam with gain*lam*e^lam = max float, by Newton's method on its logarithm."""
-    target = math.log(np.finfo(float).max) - math.log(gain)
+    target = math.log(np.finfo(float).max) - math.log(_STENCIL_GAIN * horizon_n**2)
     lam = target
     for _ in range(6):
         lam -= (lam + math.log(lam) - target) / (1.0 + 1.0 / lam)
+    return lam
+
+
+def _check_max_rate(lam: float, horizon_n: int) -> float:
+    """``lam`` if it is at most _max_rate(horizon_n), which Params and rated grids hold."""
+    if lam > (limit := _max_rate(horizon_n)):
+        raise DomainError(f"rate lam={lam:.17g} is above {limit:.17g}, the largest the solvers can "
+                          f"step to n={horizon_n}: the kernel factor lam*e^lam would overflow")
     return lam
 
 
@@ -86,8 +89,8 @@ def _check_kind(name: str, value: object, integer: bool = False, need: str = "")
 
 
 def _check_rate(lam: float, solvable: bool = False) -> float:
-    """``lam`` as a Python float if it is a finite positive real, and if
-    ``solvable`` (Params and the tails) from _MIN_RATE to below the largest double."""
+    """``lam`` as a Python float if it is a finite positive real, and if ``solvable``
+    (Params, rated grids and the tails) from _MIN_RATE to below the largest double."""
     rate = float(_check_kind("rate lam", lam, need="finite and > 0"))
     if not (math.isfinite(rate) and rate > 0):
         raise DomainError(f"rate lam must be finite and > 0, got {lam!r}")
@@ -136,10 +139,7 @@ class Params:
         n, m = _check_shape(self.horizon_n, self.resolution_m)
         object.__setattr__(self, "horizon_n", n)
         object.__setattr__(self, "resolution_m", m)
-        if self.lam > (limit := _max_rate(n)):
-            raise DomainError(
-                f"rate lam={self.lam:.17g} is above {limit:.17g}, the largest the solvers can "
-                f"step to n={n}: the kernel factor lam*e^lam would overflow")
+        _check_max_rate(self.lam, n)
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,8 @@ class SegmentedGrid:
         elif self.lam is None:
             raise DomainError(f"grid of kind {self.kind!r} needs a positive rate")
         else:
-            object.__setattr__(self, "lam", _check_rate(self.lam))
+            lam = _check_rate(self.lam, solvable=True)
+            object.__setattr__(self, "lam", _check_max_rate(lam, v.shape[0]))
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -11,11 +11,13 @@ integer breakpoints; each panel rule is exact on cubics, giving fourth-order
 accuracy throughout.  That segment rule is defined once, in
 :mod:`parklab.core`.
 
-Every recursion is stepped by one core, :func:`_march`, given its kernels
-and the closure that turns their integrals into the next segment; it checks
-each row of the mean and second-moment grids against the counting bounds as
-the row closes.  The second moment's product convolution depends only on
-the solved mean, so :func:`_product_grid` computes it before that march.
+Every recursion is stepped by one core, :func:`_march`, given kernels that
+integrate the unknown being stepped and the closure that turns their
+integrals into the next segment; known grids enter through that close.  It
+checks each row of the mean and second-moment grids against the counting
+bounds as the row closes.  The second moment's close reads the solved mean
+at x+1 and the mean's product convolution, which :func:`_product_grid`
+computes before that march.
 It works by segment pairs: for each pair it forms the samples of the pair's
 head panels, and then of its tail panels, block by block in one reused
 buffer, integrates each panel with one :func:`_product_panel` call on a row
@@ -41,7 +43,6 @@ from .core import (
     _count_bounds,
     _cumulative,
     _interp_segment,
-    _max_rate,  # re-exported: the solvers' rate ceiling, which Params enforces
     _mean_derivative_past_two,
     _mean_past_two,
     _node_offsets,
@@ -80,8 +81,8 @@ def integrate_weighted(
     return total
 
 
-# One integral term of a recursion: (source rows, weight(s, offs), rescaled).
-_Kernel = tuple[np.ndarray, Callable[[int, np.ndarray], "np.ndarray | float"], bool]
+# One integral term of a recursion over its unknown: (weight(s, offs), rescaled).
+_Kernel = tuple[Callable[[int, np.ndarray], "np.ndarray | float"], bool]
 
 
 def _march(
@@ -94,8 +95,8 @@ def _march(
 ) -> None:
     """Fill rows ``start``.. of ``vals`` in place by the method of steps.
 
-    On segment s = k - 1, kernel (rows, weight, rescaled) integrates
-    rows[s] * weight(s, offs); ``close(s, x, integrals)`` turns the integrals
+    On segment s = k - 1, kernel (weight, rescaled) integrates
+    vals[s] * weight(s, offs); ``close(s, x, integrals)`` turns the integrals
     over [0, x] at the segment's nodes x = s + offs into row k.  Each
     integral is a running prefix over the complete segments plus the
     segment's own cumulative integral.  The prefixes are accumulated once
@@ -124,10 +125,10 @@ def _march(
     exp_off = np.exp(-lam * offs)
     prefs = [0.0] * len(kernels)
     for s in range(n - 1):
-        cums = [_cumulative(rows[s] * weight(s, offs)) for rows, weight, _ in kernels]
+        cums = [_cumulative(vals[s] * weight(s, offs)) for weight, _ in kernels]
         if s + 1 >= start:
             ints = [exp_off * (p + c) if rescaled else p + c
-                    for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
+                    for p, c, (_, rescaled) in zip(prefs, cums, kernels)]
             new = close(s, s + offs, ints)
             if s + 1 >= 3:
                 new[0] = vals[s, -1]
@@ -140,19 +141,19 @@ def _march(
                     f"is too coarse for this rate, a larger resolution_m is needed")
             vals[s + 1] = new
         prefs = [eq * (p + c[-1]) if rescaled else p + c[-1]
-                 for p, c, (_, _, rescaled) in zip(prefs, cums, kernels)]
+                 for p, c, (_, rescaled) in zip(prefs, cums, kernels)]
 
 
-def _exp_kernels(rows: np.ndarray, lam: float) -> list[_Kernel]:
-    """The mean recursion's direct and convolution kernels over ``rows``.
+def _renewal_march(vals: np.ndarray, lam: float, start: int, count: str,
+                   forcing: Callable[[int, np.ndarray], "np.ndarray | float"]) -> None:
+    """March value(x+1) = (direct + convolution)/e + forcing(s, e), e = 1 - exp(-lam*x).
 
     direct: lam*exp(-lam*t)*f(t); convolution, rescaled to the segment's
     left edge: lam*exp(lam*(t-s))*f(t).  Neither factor exceeds lam*e^lam.
     """
-    return [
-        (rows, lambda s, offs: lam * np.exp(-lam * (s + offs)), False),
-        (rows, lambda s, offs: lam * np.exp(lam * offs), True),
-    ]
+    _march(vals, lam, start, [(lambda s, offs: lam * np.exp(-lam * (s + offs)), False),
+                              (lambda s, offs: lam * np.exp(lam * offs), True)],
+           lambda s, x, ints: (ints[0] + ints[1]) / (e := -np.expm1(-lam * x)) + forcing(s, e), count)
 
 
 def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
@@ -170,8 +171,7 @@ def solve_mean(params: Params, *, seed_upto: int = 3) -> SegmentedGrid:
     vals[1] = 1.0
     if seed_upto == 3:
         vals[2] = _mean_past_two(_node_offsets(m), lam)
-    _march(vals, lam, seed_upto, _exp_kernels(vals, lam),
-           lambda s, x, ints: (ints[0] + ints[1]) / -np.expm1(-lam * x) + 1.0, "mean count")
+    _renewal_march(vals, lam, seed_upto, "mean count", lambda s, e: 1.0)
     return SegmentedGrid("M", vals, lam=lam)
 
 
@@ -201,7 +201,7 @@ def solve_mean_derivative(params: Params, *, seed_upto: int = 3) -> SegmentedGri
         denom = 0.5 * np.expm1(-lam * x) ** 2
         return (ints[0] + seed_term) / denom
 
-    _march(vals, lam, seed_upto, [(vals, lambda s, offs: _sinh_weight(lam, s, offs), True)], close)
+    _march(vals, lam, seed_upto, [(lambda s, offs: _sinh_weight(lam, s, offs), True)], close)
     return SegmentedGrid("Mprime", vals, lam=lam)
 
 
@@ -214,7 +214,7 @@ def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> Segmente
     """
     horizon_n, resolution_m = _check_shape(horizon_n, resolution_m)
     vals = np.zeros((horizon_n, resolution_m + 1))
-    _march(vals, 0.0, 2, [(vals, lambda s, offs: 2.0 * (s + offs), False)],
+    _march(vals, 0.0, 2, [(lambda s, offs: 2.0 * (s + offs), False)],
            lambda s, x, ints: (ints[0] + 2.0) / x**2)
     return SegmentedGrid("uniformMprime", vals)
 
@@ -222,11 +222,11 @@ def solve_uniform_mean_derivative(horizon_n: int, resolution_m: int) -> Segmente
 def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
     """Second moment of the saturation count on [0, horizon_n].
 
-    The stepping identity mirrors the mean's but carries five integral
-    terms: two in the unknown, two in the solved mean, and the product
-    convolution of the mean with itself.  The product term depends only on
-    the mean, so :func:`_product_grid` computes it at every node once,
-    before the march; the march then reads one row of it per segment.
+    The renewal step is the mean's, with forcing 2M(x+1) - 1 + 2P/e in
+    place of 1: the solved mean's two integrals enter through M(x+1), which
+    :func:`solve_mean` closed from them, and P is the product convolution of
+    the mean with itself.  P depends only on the mean, so
+    :func:`_product_grid` computes it at every node once, before the march.
     """
     if m_grid.kind != "M":
         raise DomainError(f"m_grid must have kind 'M', got {m_grid.kind!r}")
@@ -242,9 +242,8 @@ def solve_second_moment(params: Params, m_grid: SegmentedGrid) -> SegmentedGrid:
     vals = np.zeros((n, m + 1))
     vals[1] = 1.0  # the count is deterministically 1 on (1, 2]
     vals[2] = _second_moment_past_two(_node_offsets(m), lam)
-    _march(vals, lam, 3, _exp_kernels(vals, lam) + _exp_kernels(m_grid.values, lam),
-           lambda s, x, ints: 1.0 + (ints[0] + ints[1] + 2.0 * (ints[2] + ints[3]) + 2.0 * prod[s])
-           / -np.expm1(-lam * x), "second moment")
+    _renewal_march(vals, lam, 3, "second moment",
+                   lambda s, e: 2.0 * m_grid.values[s + 1] - 1.0 + 2.0 * prod[s] / e)
     return SegmentedGrid("M2", vals, lam=lam)
 
 

@@ -311,6 +311,12 @@ class TestDensityBracket:
             with pytest.raises(DomainError, match=f"^grid rate 1.0 differs from rate lam={lam!r}$"):
                 laplace_bracket(lam, grid, crude_tails(lam, 7)[0], 0)
 
+    def test_a_grid_above_the_solvers_ceiling_is_never_built(self):
+        # a hand-built grid once carried lam=800 into math.exp(lam): OverflowError
+        with pytest.raises(DomainError, match=r"^rate lam=800 is above .* n=3: the kernel factor"):
+            laplace_bracket(800.0, SegmentedGrid("M", np.zeros((3, 65)), lam=800.0),
+                            crude_tails(800.0, 3)[0], 0)
+
     def test_kept_within_the_counting_bounds(self):
         # ceil((x-1)/2) <= count <= floor(x), so c lies in [1/2, 1]; the maps take e^lam*P
         assert density_bracket(1.0, Bracket(-5.0 * math.e, 5.0 * math.e)) == Bracket(0.5, 1.0)

@@ -1,6 +1,7 @@
 """Closed forms, counting bounds, and domain types."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from parklab.constants import (
     variance_slope_bracket,
 )
 from parklab.core import (
+    _MIN_RATE,
+    _max_rate,
     _node_offsets,
     _panel_weight_table,
     lower_count_bound,
@@ -283,6 +286,19 @@ class TestSegmentedGrid:
     def test_rated_grids_store_a_python_float(self, lam):
         g = SegmentedGrid("M2", np.zeros((3, 5)), lam=lam)
         assert type(g.lam) is float and g.lam == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 30])
+    def test_rated_grids_take_the_rates_params_takes(self, n):
+        # from _MIN_RATE to _max_rate(n), past which the message is Params'
+        limit = _max_rate(n)
+        assert SegmentedGrid("M", np.zeros((n, 5)), lam=limit).lam == limit
+        for lam in (limit * (1 + 1e-12), 800.0, 1e300):
+            message = (f"rate lam={lam:.17g} is above {limit:.17g}, the largest the solvers can "
+                       f"step to n={n}: the kernel factor lam*e^lam would overflow")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                SegmentedGrid("Mprime", np.zeros((n, 5)), lam=lam)
+        with pytest.raises(DomainError, match=r"^rate lam=.* is below "):
+            SegmentedGrid("M2", np.zeros((n, 5)), lam=_MIN_RATE / 2)
 
     def test_uniform_and_missing_rates_keep_their_messages(self):
         with pytest.raises(DomainError, match="^uniform grids carry no rate$"):
