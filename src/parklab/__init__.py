@@ -3,13 +3,12 @@
 Solvers for the mean, its derivative, and the second moment of the number of
 unit cars parked at saturation; certified brackets for the asymptotic
 packing density, intercept, and variance slope; and a reproducible Monte
-Carlo simulator for cross-validation.  Tail bounds, bracket maps, quadrature
-and the closed forms are importable from their modules.
+Carlo simulator for cross-validation.  Tail bounds, bracket maps and the
+quadrature are importable from their modules.
 """
 
 from .constants import constants_report
-# mean_closed is kept importable from the root for scripts that use it there.
-from .core import Bracket, ConstantsReport, DomainError, Params, SegmentedGrid, mean_closed
+from .core import Bracket, ConstantsReport, DomainError, Params, SegmentedGrid
 from .envelope import window_extrema
 from .montecarlo import SimConfig, SimStats, run_mc
 from .solver import (

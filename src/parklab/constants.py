@@ -80,7 +80,7 @@ def truncated_laplace(grid: SegmentedGrid, lam: float, power: int) -> float:
     """
     power = _check_power(power)
     weight = lambda t: t**power * np.exp(-lam * t)
-    return _solver.integrate_weighted(grid, weight, 0, grid.horizon_n)
+    return _solver.integrate_weighted(grid, weight)
 
 
 def _check_power(power: int) -> int:

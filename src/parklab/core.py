@@ -27,8 +27,6 @@ __all__ = [
     "ConstantsReport",
     "GRID_KINDS",
     "TAIL_METHODS",
-    "mean_closed",
-    "mean_derivative_closed",
     "upper_count_bound",
     "lower_count_bound",
 ]
@@ -354,34 +352,6 @@ class ConstantsReport:
             "quadrature_halving_delta": self.quadrature_halving_delta,
             "uniform_fallback": self.uniform_fallback,
         }
-
-
-def mean_closed(x: float, lam: float) -> float:
-    """Mean saturation count on [0, 3], where the stepping recursion is explicit.
-
-    0 up to one car length, exactly 1 on (1, 2], and on (2, 3] the two-car
-    probability enters through a ratio of exponential masses.  Continuous
-    except for the unit jump at x = 1; equals 2 at x = 3 by cancellation.
-    """
-    lam = _check_rate(lam)
-    if not (0.0 <= x <= 3.0):
-        raise DomainError(f"closed form only valid on [0, 3], got x={x!r}")
-    return 0.0 if x <= 1.0 else 1.0 if x <= 2.0 else float(_mean_past_two(x - 2.0, lam))
-
-
-def mean_derivative_closed(x: float, lam: float, from_right: bool = False) -> float:
-    """Derivative of the mean count on (0, 3].
-
-    Zero below x = 2 away from the jumps; on (2, 3] it decays from its
-    right-limit value at 2.  x = 1 and x = 2 are jump points and are only
-    evaluated when ``from_right`` requests the right limit.
-    """
-    lam = _check_rate(lam, solvable=True)
-    if not (0.0 < x <= 3.0):
-        raise DomainError(f"closed form only valid on (0, 3], got x={x!r}")
-    if (x == 1.0 or x == 2.0) and not from_right:
-        raise DomainError(f"x={x} is a jump point; pass from_right=True for the right limit")
-    return 0.0 if x < 2.0 else float(_mean_derivative_past_two(x - 2.0, lam))
 
 
 def _mean_past_two(t, lam: float):

@@ -59,24 +59,17 @@ __all__ = [
 ]
 
 
-def integrate_weighted(
-    grid: SegmentedGrid,
-    weight: Callable[[np.ndarray], np.ndarray],
-    a: int,
-    b: int,
-) -> float:
-    """Composite-Simpson value of the integral of weight(t)*grid(t) over [a, b].
+def integrate_weighted(grid: SegmentedGrid, weight: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Composite-Simpson value of the integral of weight(t)*grid(t) over the grid's horizon.
 
-    The ends are integers, so every panel is one whole segment and the
-    piecewise-smooth grid is only ever integrated where it is smooth.
-    ``weight`` must accept an ndarray of abscissae.
+    Every panel is one whole segment, so the piecewise-smooth grid is only
+    ever integrated where it is smooth.  ``weight`` must accept an ndarray
+    of abscissae.
     """
-    n, m = grid.horizon_n, grid.resolution_m
-    a = _check_int("integration start a", a, lambda a: 0 <= a <= n, f"an integer in [0, {n}]")
-    b = _check_int("integration end b", b, lambda b: a <= b <= n, f"an integer in [{a}, {n}]")
+    m = grid.resolution_m
     w = _panel_weight_table(m)[m]
     total = 0.0
-    for k in range(a, b):
+    for k in range(grid.horizon_n):
         total += (1.0 / m) * float(w @ (weight(grid.x_nodes(k)) * grid.values[k]))
     return total
 

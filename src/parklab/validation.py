@@ -3,9 +3,9 @@
 Each check returns one result per assertion with the measured quantity spelled
 out, so the CLI can print a line per criterion and the test suite can assert
 the same facts.  Check 4b is expected to fail on a correct build: the
-advertised n=7 crude-bracket width target of about 7.6e-7 is not achievable
-from the step bounds, whose gap decays like n*e^(-lam*n) (about 1.56e-3
-there); see the README for the analysis.  Everything else passes.
+advertised n=7 crude-bracket width target of 1e-6 is not achievable from
+the step bounds, whose gap decays like n*e^(-lam*n) (about 1.56e-3 there);
+see the README for the analysis.  Everything else passes.
 
 ``run_checks`` starts the simulations of the selected criteria 8 and 9 in one
 background worker pool when it begins (see ``_sim_configs``), so they run

@@ -21,7 +21,8 @@ import parklab.constants
 import parklab.montecarlo
 import parklab.solver
 import parklab.validation
-from parklab import DomainError, SegmentedGrid, mean_closed
+from parklab import DomainError, SegmentedGrid
+from parklab.core import _mean_past_two
 from parklab.cli import main
 
 
@@ -157,10 +158,8 @@ class TestTable:
         assert len(rows) == 3 * 5
         for row in rows:
             x, v, seg = float(row["x"]), float(row["value"]), int(row["segment"])
-            if x == int(x) and seg == int(x) and x > 0:
-                ref = mean_closed(x + 1e-12, 1.0)  # right-limit row at a shared abscissa
-            else:
-                ref = mean_closed(x, 1.0)
+            # the seed rows 0 and 1, then the closed form; a shared abscissa reads its own segment
+            ref = (0.0, 1.0)[seg] if seg < 2 else _mean_past_two(x - 2.0, 1.0)
             assert v == pytest.approx(ref, abs=1e-9)
 
     def test_shared_abscissae_emitted_twice(self, capsys):

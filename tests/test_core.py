@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from parklab import Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report
+from parklab import (Bracket, DomainError, Params, SegmentedGrid, SimConfig, constants_report,
+                     solve_mean, solve_mean_derivative)
 from parklab.constants import (
     crude_tails,
     density_bracket,
@@ -19,78 +20,62 @@ from parklab.constants import (
 from parklab.core import (
     _MIN_RATE,
     _max_rate,
+    _mean_derivative_past_two,
+    _mean_past_two,
     _node_offsets,
     _panel_weight_table,
     lower_count_bound,
-    mean_closed,
-    mean_derivative_closed,
     upper_count_bound,
 )
 
 
+# The seeds on [0, 3]: M is 0 below 1 and 1 on (1, 2], M' is 0 below 2, and on
+# (2, 3] both are core's closed forms in the offset t = x - 2.
 class TestMeanClosed:
     @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
     def test_piecewise_values(self, lam):
-        assert mean_closed(0.7, lam) == 0.0
-        assert mean_closed(1.5, lam) == 1.0
-        assert mean_closed(2.0, lam) == 1.0
+        vals = solve_mean(Params(lam, 3, 8)).values
+        assert np.all(vals[0] == 0.0) and np.all(vals[1] == 1.0)
+        assert _mean_past_two(0.0, lam) == 1.0
 
     @pytest.mark.parametrize("lam", [1e-8, 0.3, 1.0, 7.0, 40.0])
     def test_equals_two_at_three(self, lam):
         # the numerator mass factors cancel the denominator exactly at x=3
-        assert mean_closed(3.0, lam) == pytest.approx(2.0, abs=1e-14)
+        assert _mean_past_two(1.0, lam) == pytest.approx(2.0, abs=1e-14)
 
     def test_continuity_near_two(self):
-        lam = 1.3
-        left = mean_closed(2.0 - 1e-10, lam)
-        right = mean_closed(2.0 + 1e-10, lam)
-        assert left == pytest.approx(1.0)
-        assert right == pytest.approx(1.0, abs=1e-9)
+        # M is 1 up to 2, and the form past 2 starts there
+        assert _mean_past_two(1e-10, 1.3) == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_on_upper_piece(self):
-        xs = np.linspace(2.0, 3.0, 200)
-        vals = [mean_closed(x, 0.8) for x in xs]
-        assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            mean_closed(3.5, 1.0)
-        with pytest.raises(DomainError):
-            mean_closed(-0.1, 1.0)
+        vals = _mean_past_two(np.linspace(0.0, 1.0, 200), 0.8)
+        assert np.all(vals[:-1] <= vals[1:] + 1e-14)
 
 
 class TestMeanDerivativeClosed:
     def test_right_limit_at_two(self):
         expected = math.sinh(1.0) / (math.cosh(1.0) - 1.0)
-        assert mean_derivative_closed(2.0, 1.0, from_right=True) == pytest.approx(expected, rel=1e-13)
+        assert _mean_derivative_past_two(0.0, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_zero_between_jumps(self):
-        assert mean_derivative_closed(1.5, 3.0) == 0.0
-        assert mean_derivative_closed(0.5, 3.0) == 0.0
+        assert np.all(solve_mean_derivative(Params(3.0, 3, 8)).values[:2] == 0.0)
 
     def test_uniform_limit_at_two(self):
         # vanishing rate turns the right limit at 2 into the uniform value 2
-        assert mean_derivative_closed(2.0, 1e-9, from_right=True) == pytest.approx(2.0, rel=1e-8)
-
-    def test_jump_requires_flag(self):
-        with pytest.raises(DomainError):
-            mean_derivative_closed(2.0, 1.0)
-        assert mean_derivative_closed(1.0, 1.0, from_right=True) == 0.0
+        assert _mean_derivative_past_two(0.0, 1e-9) == pytest.approx(2.0, rel=1e-8)
 
     @pytest.mark.parametrize("lam", [0.05, 1.0, 12.0])
     def test_nonnegative(self, lam):
-        xs = np.concatenate([np.linspace(0.01, 0.99, 23), np.linspace(1.01, 1.99, 23),
-                             np.linspace(2.001, 3.0, 37)])
-        assert all(mean_derivative_closed(float(x), lam) >= 0.0 for x in xs)
+        assert np.all(_mean_derivative_past_two(np.linspace(0.0, 1.0, 37), lam) >= 0.0)
 
     def test_matches_difference_quotient(self):
-        lam, x, dh = 0.9, 2.6, 1e-6
-        fd = (mean_closed(x + dh, lam) - mean_closed(x - dh, lam)) / (2 * dh)
-        assert mean_derivative_closed(x, lam) == pytest.approx(fd, rel=1e-8)
+        lam, t, dh = 0.9, 0.6, 1e-6
+        fd = (_mean_past_two(t + dh, lam) - _mean_past_two(t - dh, lam)) / (2 * dh)
+        assert _mean_derivative_past_two(t, lam) == pytest.approx(fd, rel=1e-8)
 
 
 def _libm_mean(x, lam):
-    # the scalar closed forms as libm evaluated them before they became numpy expressions
+    # the closed forms as libm evaluates them, one double at a time
     num = (1.0 + math.exp(-lam)) * -math.expm1(-lam * (x - 2.0))
     return 1.0 + num / -math.expm1(-lam * (x - 1.0))
 
@@ -107,18 +92,9 @@ class TestClosedFormsPastTwo:
         xs = np.concatenate(([2.0, 3.0], 2.0 + rng.random(4000)))
         lams = np.exp(rng.uniform(math.log(2.0**-511), math.log(690.0), xs.size))
         for x, lam in zip(xs.tolist(), lams.tolist()):
-            for got, ref in ((mean_closed(x, lam), _libm_mean(x, lam)),
-                             (mean_derivative_closed(x, lam, from_right=True),
-                              _libm_mean_derivative(x, lam))):
-                assert type(got) is float
+            for got, ref in ((_mean_past_two(x - 2.0, lam), _libm_mean(x, lam)),
+                             (_mean_derivative_past_two(x - 2.0, lam), _libm_mean_derivative(x, lam))):
                 assert abs(got - ref) <= 8 * math.ulp(ref), (x, lam)
-
-    @pytest.mark.parametrize("lam", [math.nextafter(2.0**-511, 0.0), 1e-170, 1e-300])
-    @pytest.mark.parametrize("x", [1.5, 2.0, 2.5])
-    def test_derivative_rejects_rates_below_the_smallest(self, x, lam):
-        # 1e-170 and 1e-300 once divided by an expm1 square that underflowed to zero
-        with pytest.raises(DomainError, match=f"^rate lam={lam!r} is below {2.0**-511!r}, "):
-            mean_derivative_closed(x, lam, from_right=True)
 
 
 class TestCountBounds:
@@ -190,8 +166,9 @@ class TestCheckRate:
     ENTRY_POINTS = [
         lambda lam: Params(lam),
         lambda lam: SimConfig(lam, 5.0, 10),
-        lambda lam: mean_closed(2.5, lam),
-        lambda lam: mean_derivative_closed(2.5, lam),
+        # the closed forms on (2, 3] are reached through the solvers' Params
+        lambda lam: solve_mean(Params(lam, 3, 8)),
+        lambda lam: solve_mean_derivative(Params(lam, 3, 8)),
         lambda lam: crude_tails(lam, 3),
         lambda lam: constants_report(lam, 0, 64, "crude"),
         lambda lam: envelope_tails(lam, 3, 2.0, 0.7, 0.8),
@@ -214,8 +191,8 @@ class TestCheckRate:
     @pytest.mark.parametrize("entry", [
         lambda lam: (Params(lam, 7, 16).lam,),
         lambda lam: (SimConfig(lam, 5.0, 10).lam,),
-        lambda lam: (mean_closed(2.5, lam),),
-        lambda lam: (mean_derivative_closed(2.5, lam),),
+        lambda lam: tuple(solve_mean(Params(lam, 3, 8)).values[2].tolist()),
+        lambda lam: tuple(solve_mean_derivative(Params(lam, 3, 8)).values[2].tolist()),
         lambda lam: tuple(v for t in crude_tails(lam, 3) for v in (t.lo, t.hi)),
         lambda lam: tuple(v for t in envelope_tails(lam, 3, 2.0, 0.7, 0.8) for v in (t.lo, t.hi)),
         lambda lam: (constants_report(lam, 0, 64, "crude").lam,
@@ -252,7 +229,7 @@ class TestSegmentedGrid:
         m = 16
         vals = np.zeros((3, m + 1))
         vals[1] = 1.0
-        vals[2] = [mean_closed(x, 1.0) for x in (2 + np.arange(m + 1) / m)]
+        vals[2] = _mean_past_two(_node_offsets(m), 1.0)
         return SegmentedGrid("M", vals, lam=1.0)
 
     def test_left_value_at_jump(self):
@@ -262,7 +239,7 @@ class TestSegmentedGrid:
 
     def test_interpolation_matches_closed_form(self):
         g = self._grid()
-        assert g.value(2.3) == pytest.approx(mean_closed(2.3, 1.0), abs=2e-4)
+        assert g.value(2.3) == pytest.approx(_mean_past_two(2.3 - 2.0, 1.0), abs=2e-4)
         assert g.value(3.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_validation(self):

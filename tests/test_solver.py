@@ -32,8 +32,6 @@ from parklab.core import (
     _panel_weights,
     _second_moment_past_two,
     lower_count_bound,
-    mean_closed,
-    mean_derivative_closed,
     upper_count_bound,
 )
 from parklab import solver
@@ -44,11 +42,15 @@ def _const_grid(value=1.0, n=3, m=8, kind="M", lam=1.0):
     return SegmentedGrid(kind, np.full((n, m + 1), value), lam=lam)
 
 
-def _closed_mean_grid(lam=1.0, m=64):
-    vals = np.empty((3, m + 1))
-    for k in range(3):
-        vals[k] = [mean_closed(k + j / m, lam) if k != 1 else 1.0 for j in range(m + 1)]
-    vals[0] = 0.0
+def _seed_mean(x, lam):
+    """The mean's seed at x in [0, 3]: 0 below 1, 1 on (1, 2], core's closed form on (2, 3]."""
+    return 0.0 if x <= 1.0 else 1.0 if x <= 2.0 else float(_mean_past_two(x - 2.0, lam))
+
+
+def _closed_mean_grid(lam=1.0, m=256):
+    vals = np.zeros((3, m + 1))
+    vals[1] = 1.0
+    vals[2] = _mean_past_two(_node_offsets(m), lam)
     return SegmentedGrid("M", vals, lam=lam)
 
 
@@ -56,66 +58,33 @@ class TestIntegrateWeighted:
     def test_constant_grid(self):
         g = _const_grid()
         one = lambda t: np.ones_like(t)
-        assert integrate_weighted(g, one, 0, 3) == pytest.approx(3.0, abs=1e-14)
-
-    def test_empty_range(self):
-        g = _const_grid()
-        assert integrate_weighted(g, lambda t: np.exp(t), 1, 1) == 0.0
+        assert integrate_weighted(g, one) == pytest.approx(3.0, abs=1e-14)
 
     def test_against_adaptive_quadrature(self):
-        # same integrand handed to an adaptive integrator with the breakpoints marked
+        # same integrand handed to an adaptive integrator with the breakpoints
+        # marked; m=256 puts the Simpson error on (2, 3] near 5e-12
         lam = 1.0
         g = _closed_mean_grid(lam)
-        got = integrate_weighted(g, lambda t: lam * np.exp(-lam * t), 0, 2)
-        ref, err = quad(lambda t: lam * math.exp(-lam * t) * mean_closed(t, lam),
-                        0.0, 2.0, points=[1.0], limit=200)
+        got = integrate_weighted(g, lambda t: lam * np.exp(-lam * t))
+        ref, err = quad(lambda t: lam * math.exp(-lam * t) * _seed_mean(t, lam),
+                        0.0, 3.0, points=[1.0, 2.0], limit=200)
         assert got == pytest.approx(ref, abs=1e-10)
-
-    def test_range_validation(self):
-        g = _const_grid()
-        with pytest.raises(DomainError):
-            integrate_weighted(g, lambda t: t, -0.1, 1.0)
-        with pytest.raises(DomainError):
-            integrate_weighted(g, lambda t: t, 0.0, 3.5)
-        with pytest.raises(DomainError):
-            integrate_weighted(g, lambda t: t, 2, 1)
-        with pytest.raises(DomainError):
-            integrate_weighted(g, lambda t: t, 0, 4)
-        with pytest.raises(DomainError):
-            integrate_weighted(g, lambda t: t, 0.5, 2)  # panels are whole segments
-
-    def test_numpy_ends_read_as_python_ints(self):
-        g = _closed_mean_grid()
-        weight = lambda t: np.exp(-t)
-        assert (integrate_weighted(g, weight, np.int64(0), np.int32(3))
-                == integrate_weighted(g, weight, 0, 3))
-
-    @pytest.mark.parametrize("a, b, message", [
-        (True, 3, "integration start a must be an integer, got bool True"),
-        (0, True, "integration end b must be an integer, got bool True"),
-        (0, 3.0, "integration end b must be an integer, got float 3.0"),
-    ])
-    def test_bool_and_float_ends_rejected(self, a, b, message):
-        with pytest.raises(DomainError, match=f"^{message}$"):
-            integrate_weighted(_const_grid(), lambda t: t, a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(
         coeffs=st.tuples(*[st.floats(-3, 3) for _ in range(4)]),
-        a=st.integers(0, 3),
-        b=st.integers(0, 3),
+        n=st.integers(1, 3),
     )
-    def test_exact_on_cubics(self, coeffs, a, b):
+    def test_exact_on_cubics(self, coeffs, n):
         # the whole-segment panel rule integrates a cubic exactly
-        lo, hi = sorted((a, b))
         c0, c1, c2, c3 = coeffs
         m = 4
-        xs = np.array([[k + j / m for j in range(m + 1)] for k in range(3)])
+        xs = np.array([[k + j / m for j in range(m + 1)] for k in range(n)])
         vals = c0 + c1 * xs + c2 * xs**2 + c3 * xs**3
         g = SegmentedGrid("M", vals, lam=1.0)
         anti = lambda x: c0 * x + c1 * x**2 / 2 + c2 * x**3 / 3 + c3 * x**4 / 4
-        got = integrate_weighted(g, lambda t: np.ones_like(t), lo, hi)
-        assert got == pytest.approx(anti(hi) - anti(lo), abs=2e-10)
+        got = integrate_weighted(g, lambda t: np.ones_like(t))
+        assert got == pytest.approx(anti(n), abs=2e-10)
 
 
 class TestSolveMean:
@@ -128,7 +97,7 @@ class TestSolveMean:
     def test_step_reproduces_closed_form(self, lam):
         # seed only through x=2 and let the stepper produce (2,3]
         g = solve_mean(Params(lam, 3, 256), seed_upto=2)
-        ref = np.array([mean_closed(x, lam) for x in g.x_nodes(2)])
+        ref = np.array([_mean_past_two(x - 2.0, lam) for x in g.x_nodes(2)])
         assert np.max(np.abs(g.values[2] - ref)) <= 1e-10
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 5.0])
@@ -222,8 +191,7 @@ class TestSolveMeanDerivative:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_step_reproduces_closed_form(self, lam):
         g = solve_mean_derivative(Params(lam, 3, 256), seed_upto=2)
-        ref = np.array([mean_derivative_closed(x, lam, from_right=(x == 2.0))
-                        for x in g.x_nodes(2)])
+        ref = np.array([_mean_derivative_past_two(x - 2.0, lam) for x in g.x_nodes(2)])
         assert np.max(np.abs(g.values[2] - ref)) <= 1e-10
 
     @pytest.mark.parametrize("lam", [0.2, 1.0, 4.0])
@@ -239,7 +207,7 @@ class TestSolveMeanDerivative:
         gm = solve_mean(p)
         one = lambda t: np.ones_like(t)
         for x in (3, 4, 5, 6, 7):
-            recovered = integrate_weighted(gd, one, 0, x) + 1.0
+            recovered = integrate_weighted(SegmentedGrid("Mprime", gd.values[:x], lam=lam), one) + 1.0
             assert recovered == pytest.approx(gm.value(x), abs=2e-6)
 
     def test_jump_at_two_only(self):
@@ -413,6 +381,28 @@ class TestSolveSecondMoment:
         g2 = solve_second_moment(p, solve_mean(p))
         for x, ref in refs.items():
             assert g2.value(x) == pytest.approx(ref, abs=5e-10)
+
+    @pytest.mark.parametrize("lam, n, m", [(1.0, 7, 256), (1.0, 4, 8), (1.0, 12, 64),
+                                           (5.0, 7, 64), (0.05, 7, 16), (1.0, 3, 8)])
+    def test_the_march_never_reads_the_unread_product_entries(self, monkeypatch, lam, n, m):
+        # the march steps rows 3.. from product rows 2..n-2, and each row's
+        # first node is overwritten by the previous row's last one, so rows
+        # 0, 1 and n-1 and every row's j = 0 entry may hold anything
+        p = Params(lam, n, m)
+        gm = solve_mean(p)
+        plain = solve_second_moment(p, gm).values
+        real, calls = solver._product_grid, []
+
+        def unread_as_nan(*args):
+            prod = real(*args)
+            prod[[0, 1, n - 1]] = np.nan
+            prod[:, 0] = np.nan
+            calls.append(prod)
+            return prod
+
+        monkeypatch.setattr(solver, "_product_grid", unread_as_nan)
+        assert np.array_equal(solve_second_moment(p, gm).values, plain)
+        assert len(calls) == 1
 
 
 def _mean_kernels(lam):

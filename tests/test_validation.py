@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from parklab import Params, constants, constants_report, solver, validation
-from parklab.core import lower_count_bound, mean_closed, mean_derivative_closed, upper_count_bound
+from parklab.core import _mean_derivative_past_two, _mean_past_two, lower_count_bound, upper_count_bound
 
 
 def test_simulation_runtime_covers_the_started_runs(monkeypatch, small_sets_pool):
@@ -111,11 +111,10 @@ def test_the_uniform_grid_is_solved_once_per_run(monkeypatch):
 def test_criterion_1_measures_the_node_by_node_error(lam):
     p = Params(lam, 3, 256)
     worst = 0.0
-    for solve, closed in ((solver.solve_mean, mean_closed),
-                          (solver.solve_mean_derivative,
-                           lambda x, lam: mean_derivative_closed(x, lam, from_right=(x == 2.0)))):
+    for solve, closed in ((solver.solve_mean, _mean_past_two),
+                          (solver.solve_mean_derivative, _mean_derivative_past_two)):
         g = solve(p, seed_upto=2)
-        ref = np.array([closed(x, lam) for x in g.x_nodes(2)])
+        ref = np.array([closed(x - 2.0, lam) for x in g.x_nodes(2)])
         worst = max(worst, float(np.max(np.abs(g.values[2] - ref))))
     assert validation._closed_form_error(lam) == worst
 
